@@ -13,11 +13,11 @@
 //!   (`NoCollection`, `Random`, `MutatedPartition`, `UpdatedPointer`,
 //!   `WeightedPointer`, `MostGarbage`), extensions used for ablations
 //!   (`RoundRobin`, `Occupancy`, `YnyMutated`, `Generational`,
-//!   `UpdatedDecay`), and two built on the derive layer (`Composite`,
+//!   `UpdatedDecay`), and two that combine signals (`Composite`,
 //!   `AdaptiveMeta`).
-//! * [`mod@derive`] — the incremental-computation runtime behind the counter
-//!   policies: revision-stamped per-partition inputs fed by bus events and
-//!   memoized ranking queries recomputed only when a tracked input moved.
+//! * [`scoreboard`] — the per-partition state behind the counter policies:
+//!   dense `u64` input tables fed by bus events and one arg-max scan over
+//!   the collectable partitions at selection time.
 //! * [`scheduler`] — the paper's trigger: collect after a fixed number of
 //!   pointer overwrites, independent of the selection policy so that every
 //!   policy performs the same number of collections.
@@ -34,13 +34,12 @@
 #![warn(missing_docs)]
 
 pub mod collector;
-pub mod derive;
 pub mod policies;
 pub mod policy;
 pub mod scheduler;
+pub mod scoreboard;
 
 pub use collector::Collector;
-pub use derive::DeriveStats;
 pub use policies::{build_policy, build_policy_with};
 pub use policy::{PolicyKind, PolicySwitch, SelectionPolicy};
 pub use scheduler::{GcScheduler, Trigger};

@@ -1,9 +1,9 @@
 //! `Composite` (extension): a weighted blend of overwrite evidence,
 //! occupancy, and allocation recency.
 //!
-//! The paper evaluates its policies one signal at a time; the derive layer
-//! makes combining them cheap: three shared input tables, one memoized
-//! ranking, no extra scans at selection time. The blend is
+//! The paper evaluates its policies one signal at a time; a scoreboard
+//! makes combining them cheap: three dense input tables, one arg-max
+//! scan, no extra passes at selection time. The blend is
 //! `w₁·overwrites + w₂·occupancy_kib + w₃·recency` with defaults that make
 //! the signals hierarchical — overwrite hints (the paper's best signal)
 //! dominate, resident bytes break ties among similarly-hinted partitions
@@ -12,19 +12,15 @@
 //! collection and falls back to the fullest partition when all scores are
 //! zero.
 
-use crate::derive::{
-    CompositeWeights, DeriveStats, Engine, InputId, InputKind, QueryId, QueryKind,
-};
 use crate::policy::{PolicyKind, SelectionPolicy};
+use crate::scoreboard::{CompositeWeights, InputKind, Rule, Scoreboard};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_types::PartitionId;
 
 /// The blended-score policy.
 #[derive(Debug, Clone)]
 pub struct Composite {
-    engine: Engine,
-    query: QueryId,
-    overwrites: InputId,
+    board: Scoreboard,
 }
 
 impl Default for Composite {
@@ -41,37 +37,25 @@ impl Composite {
 
     /// Creates the policy with explicit blend weights.
     pub fn with_weights(weights: CompositeWeights) -> Self {
-        let mut engine = Engine::new();
-        let overwrites = engine.input(InputKind::Overwrites);
-        let occupancy = engine.input(InputKind::OccupancyBytes);
-        let recency = engine.input(InputKind::LastAllocation);
-        let query = engine.query(QueryKind::Composite {
-            overwrites,
-            occupancy,
-            recency,
-            weights,
-        });
         Self {
-            engine,
-            query,
-            overwrites,
+            board: Scoreboard::new(Rule::Composite(weights)),
         }
     }
 
     /// The blended score of a partition (for tests and diagnostics).
     pub fn score(&self, p: PartitionId) -> u128 {
-        self.engine.score(self.query, p)
+        self.board.score(p)
     }
 
     /// The raw overwrite count feeding the blend (for tests).
     pub fn overwrites(&self, p: PartitionId) -> u64 {
-        self.engine.value(self.overwrites, p)
+        self.board.value(InputKind::Overwrites, p)
     }
 }
 
 impl BarrierObserver for Composite {
     fn on_event(&mut self, event: &BarrierEvent) {
-        self.engine.apply(event);
+        self.board.apply(event);
     }
 }
 
@@ -81,19 +65,15 @@ impl SelectionPolicy for Composite {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        self.engine.select(self.query, db)
+        self.board.argmax(db, &[])
     }
 
     fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        self.engine.select_excluding(self.query, db, exclude)
+        self.board.argmax(db, exclude)
     }
 
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         Some(self.score(partition) as f64)
-    }
-
-    fn derive_stats(&self) -> Option<DeriveStats> {
-        Some(self.engine.stats())
     }
 }
 
@@ -185,19 +165,5 @@ mod tests {
             Some(PartitionId(2)),
             "occupancy-first weights"
         );
-    }
-
-    #[test]
-    fn exposes_derive_stats() {
-        let d = db();
-        let mut p = Composite::new();
-        p.on_event(&overwrite(1));
-        p.select(&d);
-        p.select(&d);
-        let s = p.derive_stats().unwrap();
-        assert_eq!(s.inputs, 3);
-        assert_eq!(s.queries, 1);
-        assert_eq!(s.selections(), 2);
-        assert!(s.hits >= 1, "{s:?}");
     }
 }

@@ -5,13 +5,12 @@
 //! [`MostGarbage`]. Baseline from related work: [`YnyMutated`] (the
 //! unenhanced Yong/Naughton/Yu policy). Extensions for ablation studies:
 //! [`RoundRobin`], [`Occupancy`], [`Generational`], [`UpdatedDecay`].
-//! Extensions built on the [`crate::derive`] layer: [`Composite`] (blended
-//! score, one pass) and [`AdaptiveMeta`] (online policy switching).
+//! Extensions that combine signals: [`Composite`] (blended score, one
+//! pass) and [`AdaptiveMeta`] (online policy switching).
 //!
 //! The counter policies all keep their per-partition state in a
-//! [`crate::derive::Engine`] — revision-stamped inputs plus a memoized
-//! arg-max — so each policy body is just an input registration and a
-//! scoring rule.
+//! [`crate::scoreboard::Scoreboard`] — dense input tables plus one arg-max
+//! scan — so each policy body is just a scoring [`crate::scoreboard::Rule`].
 
 mod adaptive_meta;
 mod composite;

@@ -11,17 +11,18 @@
 //! ("it is influenced by the creation of new objects, which is not
 //! correlated to the creation of garbage").
 
-use crate::derive::{DeriveStats, Engine, InputId, InputKind, QueryId, QueryKind};
 use crate::policy::{PolicyKind, SelectionPolicy};
+use crate::scoreboard::{InputKind, Rule, Scoreboard};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_types::PartitionId;
+
+/// The policy's one input table.
+const INPUT: InputKind = InputKind::PointerWrites;
 
 /// The mutation-count policy.
 #[derive(Debug, Clone)]
 pub struct MutatedPartition {
-    engine: Engine,
-    input: InputId,
-    query: QueryId,
+    board: Scoreboard,
 }
 
 impl Default for MutatedPartition {
@@ -33,27 +34,22 @@ impl Default for MutatedPartition {
 impl MutatedPartition {
     /// Creates the policy: an [`InputKind::PointerWrites`] table —
     /// "increment the counter associated with the partition being written
-    /// into" — and the memoized arg-max over it.
+    /// into" — and the arg-max over it.
     pub fn new() -> Self {
-        let mut engine = Engine::new();
-        let input = engine.input(InputKind::PointerWrites);
-        let query = engine.query(QueryKind::MaxInput(input));
         Self {
-            engine,
-            input,
-            query,
+            board: Scoreboard::new(Rule::Max(INPUT)),
         }
     }
 
     /// Current score of a partition (for tests and diagnostics).
     pub fn score(&self, p: PartitionId) -> u64 {
-        self.engine.value(self.input, p)
+        self.board.value(INPUT, p)
     }
 }
 
 impl BarrierObserver for MutatedPartition {
     fn on_event(&mut self, event: &BarrierEvent) {
-        self.engine.apply(event);
+        self.board.apply(event);
     }
 }
 
@@ -63,19 +59,15 @@ impl SelectionPolicy for MutatedPartition {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        self.engine.select(self.query, db)
+        self.board.argmax(db, &[])
     }
 
     fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        self.engine.select_excluding(self.query, db, exclude)
+        self.board.argmax(db, exclude)
     }
 
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         Some(self.score(partition) as f64)
-    }
-
-    fn derive_stats(&self) -> Option<DeriveStats> {
-        Some(self.engine.stats())
     }
 }
 

@@ -12,17 +12,18 @@
 //! whether recency-weighting the hints buys anything on the paper's
 //! workload.
 
-use crate::derive::{DeriveStats, Engine, InputId, InputKind, QueryId, QueryKind};
 use crate::policy::{PolicyKind, SelectionPolicy};
+use crate::scoreboard::{InputKind, Rule, Scoreboard};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_types::PartitionId;
+
+/// The policy's one input table.
+const INPUT: InputKind = InputKind::DecayedOverwrites;
 
 /// The recency-weighted overwritten-pointer policy.
 #[derive(Debug, Clone)]
 pub struct UpdatedDecay {
-    engine: Engine,
-    input: InputId,
-    query: QueryId,
+    board: Scoreboard,
 }
 
 impl Default for UpdatedDecay {
@@ -34,28 +35,22 @@ impl Default for UpdatedDecay {
 impl UpdatedDecay {
     /// Creates the policy: an [`InputKind::DecayedOverwrites`] table —
     /// bumps are doubled relative to `UpdatedPointer` so one round of
-    /// decay still leaves integer resolution — and the memoized arg-max
-    /// over it.
+    /// decay still leaves integer resolution — and the arg-max over it.
     pub fn new() -> Self {
-        let mut engine = Engine::new();
-        let input = engine.input(InputKind::DecayedOverwrites);
-        let query = engine.query(QueryKind::MaxInput(input));
         Self {
-            engine,
-            input,
-            query,
+            board: Scoreboard::new(Rule::Max(INPUT)),
         }
     }
 
     /// Current score of a partition (for tests and diagnostics).
     pub fn score(&self, p: PartitionId) -> u64 {
-        self.engine.value(self.input, p)
+        self.board.value(INPUT, p)
     }
 }
 
 impl BarrierObserver for UpdatedDecay {
     fn on_event(&mut self, event: &BarrierEvent) {
-        self.engine.apply(event);
+        self.board.apply(event);
     }
 }
 
@@ -65,19 +60,15 @@ impl SelectionPolicy for UpdatedDecay {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        self.engine.select(self.query, db)
+        self.board.argmax(db, &[])
     }
 
     fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        self.engine.select_excluding(self.query, db, exclude)
+        self.board.argmax(db, exclude)
     }
 
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         Some(self.score(partition) as f64)
-    }
-
-    fn derive_stats(&self) -> Option<DeriveStats> {
-        Some(self.engine.stats())
     }
 }
 

@@ -7,17 +7,18 @@
 //! essentially that of `MutatedPartition`: the overwritten value is on the
 //! very page being written, so reading it is free.
 
-use crate::derive::{DeriveStats, Engine, InputId, InputKind, QueryId, QueryKind};
 use crate::policy::{PolicyKind, SelectionPolicy};
+use crate::scoreboard::{InputKind, Rule, Scoreboard};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_types::PartitionId;
+
+/// The policy's one input table.
+const INPUT: InputKind = InputKind::Overwrites;
 
 /// The overwritten-pointer policy (the paper's best implementable policy).
 #[derive(Debug, Clone)]
 pub struct UpdatedPointer {
-    engine: Engine,
-    input: InputId,
-    query: QueryId,
+    board: Scoreboard,
 }
 
 impl Default for UpdatedPointer {
@@ -28,27 +29,22 @@ impl Default for UpdatedPointer {
 
 impl UpdatedPointer {
     /// Creates the policy: an [`InputKind::Overwrites`] table and the
-    /// memoized arg-max over it.
+    /// arg-max over it.
     pub fn new() -> Self {
-        let mut engine = Engine::new();
-        let input = engine.input(InputKind::Overwrites);
-        let query = engine.query(QueryKind::MaxInput(input));
         Self {
-            engine,
-            input,
-            query,
+            board: Scoreboard::new(Rule::Max(INPUT)),
         }
     }
 
     /// Current score of a partition (for tests and diagnostics).
     pub fn score(&self, p: PartitionId) -> u64 {
-        self.engine.value(self.input, p)
+        self.board.value(INPUT, p)
     }
 }
 
 impl BarrierObserver for UpdatedPointer {
     fn on_event(&mut self, event: &BarrierEvent) {
-        self.engine.apply(event);
+        self.board.apply(event);
     }
 }
 
@@ -58,19 +54,15 @@ impl SelectionPolicy for UpdatedPointer {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        self.engine.select(self.query, db)
+        self.board.argmax(db, &[])
     }
 
     fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        self.engine.select_excluding(self.query, db, exclude)
+        self.board.argmax(db, exclude)
     }
 
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         Some(self.score(partition) as f64)
-    }
-
-    fn derive_stats(&self) -> Option<DeriveStats> {
-        Some(self.engine.stats())
     }
 }
 

@@ -13,33 +13,25 @@
 //! and degrades quickly as dense edges are added (Table 5), so its extra
 //! cost is usually not warranted.
 
-use crate::derive::{DeriveStats, Engine, InputId, InputKind, QueryId, QueryKind};
 use crate::policy::{PolicyKind, SelectionPolicy};
+use crate::scoreboard::{InputKind, Rule, Scoreboard};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_types::PartitionId;
 
 /// The weight-scored overwrite policy.
 #[derive(Debug, Clone)]
 pub struct WeightedPointer {
-    engine: Engine,
-    input: InputId,
-    query: QueryId,
+    board: Scoreboard,
     max_weight: u8,
 }
 
 impl WeightedPointer {
     /// Creates the policy; `max_weight` must match the database
     /// configuration (16 in the paper). Its table is an
-    /// [`InputKind::WeightedOverwrites`] input with the memoized arg-max
-    /// over it.
+    /// [`InputKind::WeightedOverwrites`] input with the arg-max over it.
     pub fn new(max_weight: u8) -> Self {
-        let mut engine = Engine::new();
-        let input = engine.input(InputKind::WeightedOverwrites { max_weight });
-        let query = engine.query(QueryKind::MaxInput(input));
         Self {
-            engine,
-            input,
-            query,
+            board: Scoreboard::new(Rule::Max(InputKind::WeightedOverwrites { max_weight })),
             max_weight,
         }
     }
@@ -53,13 +45,16 @@ impl WeightedPointer {
 
     /// Current score of a partition (for tests and diagnostics).
     pub fn score(&self, p: PartitionId) -> u64 {
-        self.engine.value(self.input, p)
+        let input = InputKind::WeightedOverwrites {
+            max_weight: self.max_weight,
+        };
+        self.board.value(input, p)
     }
 }
 
 impl BarrierObserver for WeightedPointer {
     fn on_event(&mut self, event: &BarrierEvent) {
-        self.engine.apply(event);
+        self.board.apply(event);
     }
 }
 
@@ -69,19 +64,15 @@ impl SelectionPolicy for WeightedPointer {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        self.engine.select(self.query, db)
+        self.board.argmax(db, &[])
     }
 
     fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        self.engine.select_excluding(self.query, db, exclude)
+        self.board.argmax(db, exclude)
     }
 
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         Some(self.score(partition) as f64)
-    }
-
-    fn derive_stats(&self) -> Option<DeriveStats> {
-        Some(self.engine.stats())
     }
 }
 

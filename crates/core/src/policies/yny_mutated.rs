@@ -7,17 +7,18 @@
 //! enhancement (ignoring pure data mutations, which "cannot create
 //! garbage") buys.
 
-use crate::derive::{DeriveStats, Engine, InputId, InputKind, QueryId, QueryKind};
 use crate::policy::{PolicyKind, SelectionPolicy};
+use crate::scoreboard::{InputKind, Rule, Scoreboard};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_types::PartitionId;
+
+/// The policy's one input table.
+const INPUT: InputKind = InputKind::Mutations;
 
 /// The all-mutations-count policy.
 #[derive(Debug, Clone)]
 pub struct YnyMutated {
-    engine: Engine,
-    input: InputId,
-    query: QueryId,
+    board: Scoreboard,
 }
 
 impl Default for YnyMutated {
@@ -29,27 +30,22 @@ impl Default for YnyMutated {
 impl YnyMutated {
     /// Creates the policy: an [`InputKind::Mutations`] table — the
     /// distinguishing feature is that data mutations count too — and the
-    /// memoized arg-max over it.
+    /// arg-max over it.
     pub fn new() -> Self {
-        let mut engine = Engine::new();
-        let input = engine.input(InputKind::Mutations);
-        let query = engine.query(QueryKind::MaxInput(input));
         Self {
-            engine,
-            input,
-            query,
+            board: Scoreboard::new(Rule::Max(INPUT)),
         }
     }
 
     /// Current score of a partition (for tests and diagnostics).
     pub fn score(&self, p: PartitionId) -> u64 {
-        self.engine.value(self.input, p)
+        self.board.value(INPUT, p)
     }
 }
 
 impl BarrierObserver for YnyMutated {
     fn on_event(&mut self, event: &BarrierEvent) {
-        self.engine.apply(event);
+        self.board.apply(event);
     }
 }
 
@@ -59,19 +55,15 @@ impl SelectionPolicy for YnyMutated {
     }
 
     fn select(&mut self, db: &Database) -> Option<PartitionId> {
-        self.engine.select(self.query, db)
+        self.board.argmax(db, &[])
     }
 
     fn select_excluding(&mut self, db: &Database, exclude: &[PartitionId]) -> Option<PartitionId> {
-        self.engine.select_excluding(self.query, db, exclude)
+        self.board.argmax(db, exclude)
     }
 
     fn victim_score(&self, partition: PartitionId) -> Option<f64> {
         Some(self.score(partition) as f64)
-    }
-
-    fn derive_stats(&self) -> Option<DeriveStats> {
-        Some(self.engine.stats())
     }
 }
 

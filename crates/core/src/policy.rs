@@ -52,8 +52,8 @@ pub enum PolicyKind {
     /// decay at each collection, so stale hints fade.
     UpdatedDecay,
     /// Extension (not in the paper): a weighted blend of overwrite count,
-    /// partition occupancy, and allocation recency, computed in one pass
-    /// over the derive layer's shared inputs.
+    /// partition occupancy, and allocation recency, computed in one
+    /// arg-max pass over three dense input tables.
     Composite,
     /// Extension (not in the paper): an adaptive meta-policy that races a
     /// slate of candidate policies as shadow scoreboards and switches the
@@ -213,13 +213,6 @@ pub trait SelectionPolicy: BarrierObserver {
     fn take_switches(&mut self) -> Vec<PolicySwitch> {
         Vec::new()
     }
-
-    /// Recompute/hit counters of the policy's derive engine(s), if it is
-    /// built on [`crate::derive`]. Hand-rolled and stateless policies
-    /// report `None`. Purely diagnostic (surfaced through telemetry).
-    fn derive_stats(&self) -> Option<crate::derive::DeriveStats> {
-        None
-    }
 }
 
 /// One driving-policy switch decided by a meta-policy.
@@ -311,7 +304,7 @@ mod tests {
                 "{kind}: display name must parse back to the same variant"
             );
         }
-        // The new derive-layer policies' CLI aliases.
+        // The extension policies' CLI aliases.
         assert_eq!(
             "composite".parse::<PolicyKind>().unwrap(),
             PolicyKind::Composite

@@ -18,7 +18,7 @@
 use crate::metrics::{RunTotals, TimeSeries};
 use crate::replay::Replayer;
 use crate::shard::Shard;
-use pgc_core::{build_policy_with, Collector, DeriveStats, PolicyKind, Trigger};
+use pgc_core::{build_policy_with, Collector, PolicyKind, Trigger};
 use pgc_durable::{DurabilityConfig, StorageStats};
 use pgc_odb::{BarrierObserver, CollectionOutcome, Database, DbStats};
 use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
@@ -303,10 +303,6 @@ pub struct RunOutcome {
     /// Telemetry captured by the run (`None` unless the run was built
     /// with [`SimulationBuilder::telemetry`] above `Off`).
     pub telemetry: Option<TelemetrySnapshot>,
-    /// Recompute counters from the driving policy's derive engine (`None`
-    /// when the policy keeps no derived state, e.g. `Random`). Also
-    /// mirrored onto [`TelemetrySnapshot::derive`] when telemetry is on.
-    pub derive: Option<DeriveStats>,
     /// Durable-storage counters (`None` unless the run persisted). Also
     /// mirrored onto [`TelemetrySnapshot::storage`] when telemetry is on.
     pub storage: Option<StorageStats>,
@@ -669,33 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn derive_stats_ride_the_outcome_for_scoreboard_policies() {
-        let out = run(&RunConfig::small().with_seed(11));
-        let stats = out.derive.expect("UpdatedPointer keeps derived state");
-        assert!(stats.selections() >= out.totals.collections);
-        assert!(stats.revision > 0, "events advanced the input revision");
-        let random = run(&RunConfig::small()
-            .with_seed(11)
-            .with_policy(PolicyKind::Random));
-        assert!(random.derive.is_none(), "Random keeps no derived state");
-    }
-
-    #[test]
-    fn derive_stats_mirror_onto_the_telemetry_snapshot() {
-        let cfg = RunConfig::small().with_seed(12);
-        let out = Simulation::builder(&cfg)
-            .telemetry(TelemetryLevel::Metrics)
-            .run()
-            .unwrap();
-        let stats = out.derive.unwrap();
-        let mirrored = out.telemetry.unwrap().derive.unwrap();
-        assert_eq!(mirrored.hits, stats.hits);
-        assert_eq!(mirrored.partial, stats.partial);
-        assert_eq!(mirrored.full, stats.full);
-        assert_eq!(mirrored.revision, stats.revision);
-    }
-
-    #[test]
     fn exhaustive_config_builders_cover_every_knob() {
         let cfg = RunConfig::small()
             .with_page_size(2048)
@@ -752,33 +721,6 @@ mod trigger_tests {
         assert_eq!(overwrite_based.totals.collections, 0);
         let alloc_based = run(&cfg.with_trigger(Trigger::AllocationBytes(Bytes::from_kib(4))));
         assert!(alloc_based.totals.collections > 0);
-    }
-
-    #[test]
-    fn allocation_trigger_collections_invalidate_partially() {
-        // A collection only forces a full rescan for queries whose cached
-        // winner was the partition just collected. AdaptiveMeta races five
-        // candidate scoreboards, and most of their winners survive any
-        // given collection — so under a batched allocation trigger their
-        // re-selections must ride the derive engine's partial path instead
-        // of voiding the memo (the old behavior full-rescanned every query
-        // once per activation).
-        let cfg = RunConfig::small()
-            .with_seed(22)
-            .with_policy(PolicyKind::AdaptiveMeta)
-            .with_trigger(Trigger::AllocationBytes(Bytes::from_kib(4)))
-            .with_collect_batch(2);
-        let out = run(&cfg);
-        assert!(out.totals.collections > 1);
-        let stats = out.derive.expect("AdaptiveMeta keeps derived state");
-        assert!(
-            stats.partial > 0,
-            "batched allocation-trigger collections must invalidate partially: {stats:?}"
-        );
-        assert!(
-            stats.full < stats.selections(),
-            "not every selection may full-rescan: {stats:?}"
-        );
     }
 
     #[test]

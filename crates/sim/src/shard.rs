@@ -29,9 +29,7 @@ use crate::run::{RunConfig, RunOutcome};
 use pgc_durable::{DurableStore, LogObserver, SafepointSignal};
 use pgc_odb::oracle::{self, OracleScratch};
 use pgc_odb::BarrierObserver;
-use pgc_telemetry::{
-    DeriveSummary, StorageSummary, TelemetryHandle, TelemetryLevel, TelemetryObserver,
-};
+use pgc_telemetry::{StorageSummary, TelemetryHandle, TelemetryLevel, TelemetryObserver};
 use pgc_types::{Oid, Result};
 use pgc_workload::generator::GenStats;
 use pgc_workload::{Event, EventBlock, NodeId};
@@ -234,11 +232,10 @@ impl Shard {
     /// Condenses the shard into a [`RunOutcome`]: one final time-series
     /// sample (when sampling is on), a last oracle pass for the
     /// live/garbage split, the aggregate totals, the collection log, and
-    /// the telemetry snapshot with the driving policy's derive and storage
-    /// counters mirrored onto it. When durability is on, the store is
-    /// closed first — a forced final snapshot generation, the closing
-    /// safepoint frame, and a last fsync — which is the only way this can
-    /// fail.
+    /// the telemetry snapshot with the storage counters mirrored onto it.
+    /// When durability is on, the store is closed first — a forced final
+    /// snapshot generation, the closing safepoint frame, and a last fsync
+    /// — which is the only way this can fail.
     ///
     /// `gen_stats` labels the outcome with the workload generator's
     /// counters (zeroed for replays of unlabelled event slices).
@@ -275,21 +272,10 @@ impl Shard {
             gc_net_ops: db.net_stats().gc_reads + db.net_stats().gc_writebacks,
         };
         let (_db, collector, collections) = self.replayer.into_parts();
-        let derive = collector.policy().derive_stats();
         // The telemetry observer closes its in-flight activation record
         // when the collector drops it; finish the handle only after.
         drop(collector);
         let mut telemetry = self.telemetry.map(TelemetryHandle::finish);
-        if let (Some(snap), Some(stats)) = (telemetry.as_mut(), derive) {
-            snap.derive = Some(DeriveSummary {
-                inputs: stats.inputs,
-                queries: stats.queries,
-                revision: stats.revision,
-                hits: stats.hits,
-                partial: stats.partial,
-                full: stats.full,
-            });
-        }
         if let (Some(snap), Some(stats)) = (telemetry.as_mut(), storage) {
             snap.storage = Some(StorageSummary {
                 log_bytes: stats.log_bytes,
@@ -310,7 +296,6 @@ impl Shard {
             gen_stats,
             collections,
             telemetry,
-            derive,
             storage,
         })
     }
@@ -351,7 +336,6 @@ mod tests {
         assert_eq!(via_sim.db_stats, via_shard.db_stats);
         assert_eq!(via_sim.gen_stats, via_shard.gen_stats);
         assert_eq!(via_sim.series.points(), via_shard.series.points());
-        assert_eq!(via_sim.derive, via_shard.derive);
     }
 
     #[test]
@@ -389,9 +373,5 @@ mod tests {
         let snap = out.telemetry.expect("telemetry requested");
         assert_eq!(snap.counters.activations, out.totals.collections);
         assert_eq!(snap.records.len() as u64, out.totals.collections);
-        assert_eq!(
-            snap.derive.map(|d| d.revision),
-            out.derive.map(|d| d.revision)
-        );
     }
 }

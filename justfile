@@ -7,6 +7,7 @@ default:
 verify:
     cargo build --release
     cargo test -q
+    cargo test --workspace -q
 
 # Lint gate: clippy across every target, warnings are errors.
 clippy:
