@@ -1,18 +1,21 @@
 //! A fixed-capacity O(1) LRU page table.
 //!
 //! Implemented as a slab of frames threaded onto an intrusive doubly-linked
-//! recency list (head = most recently used) plus a `HashMap` from
-//! [`PageId`] to frame index. All operations — lookup, touch, insert with
-//! eviction, and removal — are O(1).
+//! recency list (head = most recently used) plus a dense page → frame
+//! index: a `Vec<u32>` indexed by [`PageId::index`]. All operations —
+//! lookup, touch, insert with eviction, and removal — are O(1) and hash
+//! nothing.
 //!
 //! This module knows nothing about disks or I/O accounting; it is the pure
 //! replacement-policy data structure that [`crate::pool::BufferPool`] builds
 //! on.
 
 use pgc_types::PageId;
-use std::collections::HashMap;
 
 const NIL: usize = usize::MAX;
+
+/// Index entry for a page that holds no frame.
+const NOT_RESIDENT: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
 struct Frame {
@@ -38,10 +41,23 @@ pub enum Inserted {
 }
 
 /// Fixed-capacity LRU set of pages with dirty bits.
+///
+/// **Density contract.** Page ids are expected to be dense from zero: the
+/// database builds them as `partition × partition_pages + page`, so the
+/// highest id is bounded by the partition count. The page → frame index is
+/// a flat `Vec<u32>` covering ids up to the highest one ever inserted
+/// (grown by doubling, only in [`LruCache::insert`]), so it costs 4 bytes
+/// per page id — about 6 KiB for the 1,488 pages of a 31-partition paper
+/// database. Queries on ids past the end of the index answer "not
+/// resident" without growing it. Sparse, huge ids are correct but waste
+/// index memory in proportion to the largest id.
 #[derive(Debug, Clone)]
 pub struct LruCache {
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    /// `slot[page.index()]`: the frame holding `page`, or [`NOT_RESIDENT`].
+    slot: Vec<u32>,
+    /// Number of resident pages (non-[`NOT_RESIDENT`] entries in `slot`).
+    len: usize,
     head: usize,
     tail: usize,
     free: Vec<usize>,
@@ -50,12 +66,17 @@ pub struct LruCache {
 
 impl LruCache {
     /// Creates a cache with room for `capacity` pages. `capacity` must be
-    /// positive.
+    /// positive (and below `u32::MAX`, the index's not-resident marker).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
+        assert!(
+            capacity < NOT_RESIDENT as usize,
+            "LRU capacity must fit the u32 frame index"
+        );
         Self {
             frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity * 2),
+            slot: Vec::new(),
+            len: 0,
             head: NIL,
             tail: NIL,
             free: Vec::new(),
@@ -66,13 +87,13 @@ impl LruCache {
     /// Number of resident pages.
     #[inline]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// True when no pages are resident.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// The configured frame count.
@@ -81,16 +102,28 @@ impl LruCache {
         self.capacity
     }
 
+    /// The frame holding `page`, if resident. Ids past the end of the
+    /// index are simply not resident.
+    #[inline]
+    fn frame_of(&self, page: PageId) -> Option<usize> {
+        let idx = usize::try_from(page.index()).ok()?;
+        match self.slot.get(idx) {
+            Some(&frame) if frame != NOT_RESIDENT => Some(frame as usize),
+            _ => None,
+        }
+    }
+
     /// True if `page` is resident.
     #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.map.contains_key(&page)
+        self.frame_of(page).is_some()
     }
 
     /// If `page` is resident, marks it most-recently-used, ORs in `dirty`,
     /// and returns `true`; otherwise returns `false`.
+    #[inline]
     pub fn touch(&mut self, page: PageId, dirty: bool) -> bool {
-        let Some(&idx) = self.map.get(&page) else {
+        let Some(idx) = self.frame_of(page) else {
             return false;
         };
         self.frames[idx].dirty |= dirty;
@@ -106,40 +139,41 @@ impl LruCache {
     /// Panics (debug builds) if `page` is already resident — callers must
     /// `touch` first.
     pub fn insert(&mut self, page: PageId, dirty: bool) -> Inserted {
-        debug_assert!(
-            !self.map.contains_key(&page),
-            "insert of resident page {page}"
-        );
-        let evicted = if self.map.len() == self.capacity {
+        debug_assert!(!self.contains(page), "insert of resident page {page}");
+        let key = usize::try_from(page.index()).expect("page id exceeds the address space");
+        if key >= self.slot.len() {
+            let grown = (key + 1).max(self.slot.len() * 2);
+            self.slot.resize(grown, NOT_RESIDENT);
+        }
+
+        let evicted = if self.len == self.capacity {
             let victim_idx = self.tail;
             let victim = self.frames[victim_idx].page;
             let was_dirty = self.frames[victim_idx].dirty;
             self.unlink(victim_idx);
-            self.map.remove(&victim);
+            self.slot[victim.index() as usize] = NOT_RESIDENT;
+            self.len -= 1;
             self.free.push(victim_idx);
             Some((victim, was_dirty))
         } else {
             None
         };
 
+        let frame = Frame {
+            page,
+            dirty,
+            prev: NIL,
+            next: NIL,
+        };
         let idx = if let Some(free_idx) = self.free.pop() {
-            self.frames[free_idx] = Frame {
-                page,
-                dirty,
-                prev: NIL,
-                next: NIL,
-            };
+            self.frames[free_idx] = frame;
             free_idx
         } else {
-            self.frames.push(Frame {
-                page,
-                dirty,
-                prev: NIL,
-                next: NIL,
-            });
+            self.frames.push(frame);
             self.frames.len() - 1
         };
-        self.map.insert(page, idx);
+        self.slot[key] = idx as u32;
+        self.len += 1;
         self.link_front(idx);
 
         match evicted {
@@ -150,7 +184,9 @@ impl LruCache {
 
     /// Removes `page` if resident, returning its dirty bit.
     pub fn remove(&mut self, page: PageId) -> Option<bool> {
-        let idx = self.map.remove(&page)?;
+        let idx = self.frame_of(page)?;
+        self.slot[page.index() as usize] = NOT_RESIDENT;
+        self.len -= 1;
         let dirty = self.frames[idx].dirty;
         self.unlink(idx);
         self.free.push(idx);
@@ -160,8 +196,8 @@ impl LruCache {
     /// Clears `page`'s dirty bit (after an explicit write-back). Returns
     /// `true` if the page was resident.
     pub fn clean(&mut self, page: PageId) -> bool {
-        match self.map.get(&page) {
-            Some(&idx) => {
+        match self.frame_of(page) {
+            Some(idx) => {
                 self.frames[idx].dirty = false;
                 true
             }
@@ -185,6 +221,7 @@ impl LruCache {
             .collect()
     }
 
+    #[inline]
     fn move_to_front(&mut self, idx: usize) {
         if self.head == idx {
             return;
@@ -193,6 +230,7 @@ impl LruCache {
         self.link_front(idx);
     }
 
+    #[inline]
     fn link_front(&mut self, idx: usize) {
         self.frames[idx].prev = NIL;
         self.frames[idx].next = self.head;
@@ -205,6 +243,7 @@ impl LruCache {
         }
     }
 
+    #[inline]
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.frames[idx].prev, self.frames[idx].next);
         if prev != NIL {
@@ -221,8 +260,8 @@ impl LruCache {
         self.frames[idx].next = NIL;
     }
 
-    /// Debug invariant check: list and map agree, list is well-formed.
-    /// Used by property tests.
+    /// Debug invariant check: list and index agree, list is well-formed.
+    /// Used by property tests and `Database::check_invariants`.
     pub fn check_invariants(&self) {
         let mut seen = 0usize;
         let mut cursor = self.head;
@@ -231,19 +270,21 @@ impl LruCache {
             let f = &self.frames[cursor];
             assert_eq!(f.prev, prev, "prev link broken at {}", f.page);
             assert_eq!(
-                self.map.get(&f.page),
-                Some(&cursor),
-                "map does not point at frame for {}",
+                self.frame_of(f.page),
+                Some(cursor),
+                "index does not point at frame for {}",
                 f.page
             );
             prev = cursor;
             cursor = f.next;
             seen += 1;
-            assert!(seen <= self.map.len(), "cycle in recency list");
+            assert!(seen <= self.len, "cycle in recency list");
         }
-        assert_eq!(seen, self.map.len(), "list length != map length");
+        assert_eq!(seen, self.len, "list length != resident count");
         assert_eq!(self.tail, prev, "tail does not match last node");
-        assert!(self.map.len() <= self.capacity, "over capacity");
+        assert!(self.len <= self.capacity, "over capacity");
+        let indexed = self.slot.iter().filter(|&&f| f != NOT_RESIDENT).count();
+        assert_eq!(indexed, self.len, "index holds stale entries");
     }
 }
 
@@ -389,6 +430,21 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         let _ = LruCache::new(0);
+    }
+
+    #[test]
+    fn queries_past_the_index_are_not_resident_and_allocate_nothing() {
+        let mut c = LruCache::new(4);
+        c.insert(PageId(3), true);
+        let index_len = c.slot.len();
+        let far = PageId(1 << 40);
+        assert!(!c.contains(far));
+        assert!(!c.touch(far, true));
+        assert_eq!(c.remove(far), None);
+        assert!(!c.clean(far));
+        assert_eq!(c.slot.len(), index_len, "a query grew the index");
+        assert_eq!(pages(&c), vec![3]);
+        c.check_invariants();
     }
 
     #[test]

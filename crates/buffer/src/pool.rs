@@ -16,6 +16,11 @@
 //!   write-back, since their contents will never be read again.
 //!
 //! All disk operations are charged to the currently active [`IoContext`].
+//!
+//! Frames are found through [`LruCache`]'s dense page → frame index, so an
+//! access hashes nothing. That relies on page ids being dense from zero,
+//! which the database's `partition × partition_pages + page` numbering
+//! guarantees (see the density contract on [`LruCache`]).
 
 use crate::lru::{Inserted, LruCache};
 use crate::stats::{IoContext, IoStats};

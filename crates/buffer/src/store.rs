@@ -93,10 +93,20 @@ impl PageStore {
         }
     }
 
-    /// Accesses every page of a span.
+    /// Accesses every page of a span: one dispatch on the store kind, then
+    /// the tier's own loop.
     pub fn access_span(&mut self, pages: impl IntoIterator<Item = PageId>, kind: Access) {
-        for p in pages {
-            self.access(p, kind);
+        match self {
+            PageStore::Single(p) => p.access_span(pages, kind),
+            PageStore::Tiered(p) => p.access_span(pages, kind),
+        }
+    }
+
+    /// True if `page` is buffered in any tier.
+    pub fn is_resident(&self, page: PageId) -> bool {
+        match self {
+            PageStore::Single(p) => p.is_resident(page),
+            PageStore::Tiered(p) => p.client_resident(page) || p.server_resident(page),
         }
     }
 
@@ -203,6 +213,8 @@ mod tests {
             }
             let s = store.stats();
             assert_eq!(s.disk.app_disk_writes + s.net.app_writebacks, 0);
+            assert!(!store.is_resident(PageId(3)));
+            assert!(store.is_resident(PageId(19)));
         }
     }
 }

@@ -29,7 +29,7 @@ use crate::db::Database;
 use crate::events::BarrierEvent;
 use pgc_buffer::{Access, IoContext};
 use pgc_storage::ObjAddr;
-use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId, PgcError, Result, SlotId};
+use pgc_types::{Bytes, DenseBitSet, Oid, PartitionId, PgcError, PointerLoc, Result, SlotId};
 use std::collections::VecDeque;
 
 /// What one partition collection accomplished.
@@ -92,6 +92,16 @@ impl CollectionPlan {
     pub fn dead_count(&self) -> usize {
         self.dead.len()
     }
+}
+
+/// Reusable per-survivor scratch for evacuation, owned by the database so
+/// copying an object allocates nothing: the survivor's children (read
+/// before its record is relocated) and the remembered pointers forwarded to
+/// it. Both are cleared before each object; nothing carries over.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EvacScratch {
+    pub(crate) children: Vec<Oid>,
+    pub(crate) forwarded: Vec<PointerLoc>,
 }
 
 impl Database {
@@ -196,13 +206,15 @@ impl Database {
             self.partitions.partition_mut(victim)?.note_departure(size);
             self.objects.relocate(oid, new_addr)?;
 
-            let forwarded = self.remsets.relocate_object(oid, victim, target);
-            for loc in &forwarded {
+            self.evac.forwarded.clear();
+            self.remsets
+                .relocate_object(oid, victim, target, &mut self.evac.forwarded);
+            for loc in &self.evac.forwarded {
                 let src = self.objects.get(loc.owner)?;
                 let span = self.span_of(src.addr, src.size);
                 self.buffer.access_span(span, Access::Write);
             }
-            forwarded_pointers += forwarded.len() as u64;
+            forwarded_pointers += self.evac.forwarded.len() as u64;
 
             live_objects += 1;
             live_bytes += size;
@@ -224,26 +236,17 @@ impl Database {
         let mut garbage_bytes = Bytes::ZERO;
         for &oid in &plan.dead {
             if self.remsets.in_out_set(victim, oid) {
-                let slots: Vec<(SlotId, Oid)> = {
-                    let rec = self.objects.get(oid)?;
-                    rec.slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| s.map(|t| (SlotId(i as u16), t)))
-                        .collect()
-                };
-                for (slot, t) in slots {
+                let rec = self.objects.get(oid)?;
+                for (i, t) in rec.slots.iter().enumerate() {
+                    let Some(t) = *t else { continue };
+                    let slot = SlotId(i as u16);
                     let Ok(target_rec) = self.objects.get(t) else {
                         continue;
                     };
                     let tp = target_rec.addr.partition;
                     if tp != victim {
-                        self.remsets.remove_edge(
-                            pgc_types::PointerLoc::new(oid, slot),
-                            victim,
-                            t,
-                            tp,
-                        );
+                        self.remsets
+                            .remove_edge(PointerLoc::new(oid, slot), victim, t, tp);
                     }
                 }
                 self.remsets.purge_source(victim, oid);
@@ -261,8 +264,8 @@ impl Database {
             });
         }
 
-        let victim_pages: Vec<_> = self.partitions.partition_pages_span(victim).collect();
-        self.buffer.invalidate(victim_pages);
+        self.buffer
+            .invalidate(self.partitions.partition_pages_span(victim));
         self.partitions.rotate_empty(victim)?;
 
         self.buffer.set_context(IoContext::Application);
@@ -329,7 +332,10 @@ impl Database {
                 }
                 let size = rec.size;
                 let old_addr = rec.addr;
-                let children: Vec<Oid> = rec.slots.iter().flatten().copied().collect();
+                self.evac.children.clear();
+                self.evac
+                    .children
+                    .extend(rec.slots.iter().flatten().copied());
 
                 // Read the object from the victim...
                 let old_span = self.span_of(old_addr, size);
@@ -347,15 +353,17 @@ impl Database {
                 self.objects.relocate(oid, new_addr)?;
 
                 // ...and forward every remembered pointer at it.
-                let forwarded = self.remsets.relocate_object(oid, victim, target);
-                for loc in &forwarded {
+                self.evac.forwarded.clear();
+                self.remsets
+                    .relocate_object(oid, victim, target, &mut self.evac.forwarded);
+                for loc in &self.evac.forwarded {
                     // The source object's page holds the pointer; updating
                     // it is a read-modify-write of that page.
                     let src = self.objects.get(loc.owner)?;
                     let span = self.span_of(src.addr, src.size);
                     self.buffer.access_span(span, Access::Write);
                 }
-                forwarded_pointers += forwarded.len() as u64;
+                forwarded_pointers += self.evac.forwarded.len() as u64;
 
                 live_objects += 1;
                 live_bytes += size;
@@ -366,7 +374,7 @@ impl Database {
                     size,
                 });
 
-                for child in children {
+                for &child in &self.evac.children {
                     if self.objects.get(child)?.addr.partition == victim {
                         queue.push_back(child);
                     }
@@ -392,15 +400,10 @@ impl Database {
             // page I/O (Sec. 4.1 keeps them "explicitly in auxiliary data
             // structures").
             if self.remsets.in_out_set(victim, oid) {
-                let slots: Vec<(SlotId, Oid)> = {
-                    let rec = self.objects.get(oid)?;
-                    rec.slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| s.map(|t| (SlotId(i as u16), t)))
-                        .collect()
-                };
-                for (slot, t) in slots {
+                let rec = self.objects.get(oid)?;
+                for (i, t) in rec.slots.iter().enumerate() {
+                    let Some(t) = *t else { continue };
+                    let slot = SlotId(i as u16);
                     // A dangling target here can only be a fellow victim
                     // resident reclaimed earlier in this sweep: cross-
                     // partition targets of any recorded pointer are
@@ -411,12 +414,8 @@ impl Database {
                     };
                     let tp = target_rec.addr.partition;
                     if tp != victim {
-                        self.remsets.remove_edge(
-                            pgc_types::PointerLoc::new(oid, slot),
-                            victim,
-                            t,
-                            tp,
-                        );
+                        self.remsets
+                            .remove_edge(PointerLoc::new(oid, slot), victim, t, tp);
                     }
                 }
                 self.remsets.purge_source(victim, oid);
@@ -435,8 +434,8 @@ impl Database {
         }
 
         // --- 4. Retire the victim: its pages hold only dead data. ---
-        let victim_pages: Vec<_> = self.partitions.partition_pages_span(victim).collect();
-        self.buffer.invalidate(victim_pages);
+        self.buffer
+            .invalidate(self.partitions.partition_pages_span(victim));
         self.partitions.rotate_empty(victim)?;
 
         self.buffer.set_context(IoContext::Application);

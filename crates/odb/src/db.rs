@@ -19,6 +19,7 @@
 //! [`Database::drain_events_into`]; standalone users can inspect them via
 //! [`Database::events`] or discard them with [`Database::clear_events`].
 
+use crate::collect::EvacScratch;
 use crate::events::{BarrierEvent, EventLog};
 use crate::remset::RemsetTable;
 use crate::stats::DbStats;
@@ -83,6 +84,7 @@ pub struct Database {
     pub(crate) roots: BTreeSet<Oid>,
     pub(crate) stats: DbStats,
     pub(crate) events: EventLog,
+    pub(crate) evac: EvacScratch,
 }
 
 impl Database {
@@ -101,6 +103,7 @@ impl Database {
             roots: BTreeSet::new(),
             stats: DbStats::default(),
             events: EventLog::new(),
+            evac: EvacScratch::default(),
             cfg,
         })
     }
@@ -271,6 +274,16 @@ impl Database {
         self.objects.check_invariants();
         self.remsets.check_invariants();
         self.buffer.check_invariants();
+        // The designated empty partition holds no data: its pages were
+        // invalidated when it was last collected, and only a collection
+        // copies into it.
+        let empty = self.partitions.empty_partition();
+        for page in self.partitions.partition_pages_span(empty) {
+            assert!(
+                !self.buffer.is_resident(page),
+                "{page} of the empty partition {empty} is buffered"
+            );
+        }
         // Remsets must mirror the actual cross-partition edges.
         let mut expected = 0usize;
         for (oid, rec) in self.objects.iter() {

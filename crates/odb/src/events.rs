@@ -235,11 +235,17 @@ impl EventLog {
     }
 
     /// Moves all buffered events to the end of `sink`, leaving the log
-    /// empty (capacity retained). Appending to a caller-owned vector lets
-    /// the pump reuse one scratch buffer across the whole run.
+    /// empty. When `sink` is empty (the pump clears its scratch before
+    /// every drain) the two buffers are swapped instead of copied, so the
+    /// log and the pump trade one pair of allocations back and forth for
+    /// the whole run; otherwise the events are appended.
     #[inline]
     pub fn drain_into(&mut self, sink: &mut Vec<BarrierEvent>) {
-        sink.append(&mut self.events);
+        if sink.is_empty() {
+            std::mem::swap(sink, &mut self.events);
+        } else {
+            sink.append(&mut self.events);
+        }
     }
 
     /// Discards all buffered events.
@@ -312,6 +318,22 @@ mod tests {
             vec![
                 BarrierEvent::PartitionGrowth { partitions: 2 },
                 BarrierEvent::TriggerTick { activation: 7 },
+            ]
+        );
+    }
+
+    #[test]
+    fn event_log_drain_appends_to_a_non_empty_sink() {
+        let mut log = EventLog::new();
+        log.push(BarrierEvent::TriggerTick { activation: 2 });
+        let mut sink = vec![BarrierEvent::TriggerTick { activation: 1 }];
+        log.drain_into(&mut sink);
+        assert!(log.is_empty());
+        assert_eq!(
+            sink,
+            vec![
+                BarrierEvent::TriggerTick { activation: 1 },
+                BarrierEvent::TriggerTick { activation: 2 },
             ]
         );
     }

@@ -64,9 +64,8 @@ impl Database {
             }
             let rec = self.objects.get(oid)?;
             let span = self.span_of(rec.addr, rec.size);
-            let children: Vec<Oid> = rec.slots.iter().flatten().copied().collect();
+            stack.extend(rec.slots.iter().flatten().copied());
             self.buffer.access_span(span, Access::Read);
-            stack.extend(children);
         }
 
         // --- Phase 2: evacuate each partition against the global mark. ---
@@ -112,8 +111,10 @@ impl Database {
                 // Forward remembered pointers (sources may be marked or
                 // not; unmarked sources die this same pass, so their
                 // entries are dropped rather than forwarded).
-                let forwarded = self.remsets.relocate_object(oid, victim, target);
-                for loc in &forwarded {
+                self.evac.forwarded.clear();
+                self.remsets
+                    .relocate_object(oid, victim, target, &mut self.evac.forwarded);
+                for loc in &self.evac.forwarded {
                     if !marked.contains(loc.owner.index()) {
                         continue;
                     }
@@ -132,15 +133,10 @@ impl Database {
                 debug_assert!(!marked.contains(oid.index()), "marked object left behind");
                 // Remove this dead object's cross-partition pointers from
                 // the remembered sets they target.
-                let slots: Vec<(SlotId, Oid)> = {
-                    let rec = self.objects.get(oid)?;
-                    rec.slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| s.map(|t| (SlotId(i as u16), t)))
-                        .collect()
-                };
-                for (slot, t) in slots {
+                let rec = self.objects.get(oid)?;
+                for (i, t) in rec.slots.iter().enumerate() {
+                    let Some(t) = *t else { continue };
+                    let slot = SlotId(i as u16);
                     let Ok(trec) = self.objects.get(t) else {
                         continue; // reclaimed earlier in this pass
                     };
@@ -166,8 +162,8 @@ impl Database {
                 garbage_bytes += rec.size;
             }
 
-            let victim_pages: Vec<_> = self.partitions.partition_pages_span(victim).collect();
-            self.buffer.invalidate(victim_pages);
+            self.buffer
+                .invalidate(self.partitions.partition_pages_span(victim));
             self.partitions.rotate_empty(victim)?;
             partitions_collected += 1;
         }

@@ -163,8 +163,12 @@ pub fn analyze_with(db: &Database, scratch: &mut OracleScratch) -> OracleReport 
         let rec = objects
             .get(oid)
             .expect("reachable object missing from table");
+        // Children already marked would be popped and skipped; not pushing
+        // them keeps the stack short without changing the marked set.
         for t in rec.slots.iter().flatten() {
-            scratch.stack.push(*t);
+            if !scratch.live.contains(t.index()) {
+                scratch.stack.push(*t);
+            }
         }
     }
 

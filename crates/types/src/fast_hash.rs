@@ -1,9 +1,10 @@
 //! A fast, non-cryptographic hasher for the maps that must stay sparse.
 //!
-//! The simulator's hot maps keyed by dense ids are slabs or bit sets (see
-//! [`crate::bitset`]), but the remembered sets are genuinely sparse — most
-//! objects are never the target of a cross-partition pointer — so they stay
-//! hash maps. The standard library's default SipHash-1-3 is keyed and
+//! The simulator's hot maps keyed by dense ids are slabs, bit sets (see
+//! [`crate::bitset`]) or flat index vectors (the buffer pool's page → frame
+//! table among them, since [`crate::PageId`]s are dense). The remembered
+//! sets are genuinely sparse — most objects are never the target of a
+//! cross-partition pointer — so they stay hash maps. The standard library's default SipHash-1-3 is keyed and
 //! DoS-resistant, which simulation state does not need; this FxHash-style
 //! multiply-rotate hasher (the scheme rustc itself uses for its interner
 //! maps) is several times faster on `u64`-shaped keys and, being unkeyed,

@@ -8,6 +8,7 @@ verify:
     cargo build --release
     cargo test -q
     cargo test --workspace -q
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Lint gate: clippy across every target, warnings are errors.
 clippy:

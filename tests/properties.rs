@@ -44,6 +44,11 @@ impl NaiveLru {
         }
         self.entries.insert(0, (page, dirty));
     }
+
+    /// Drops every page in `pages` without write-back.
+    fn invalidate(&mut self, pages: std::ops::Range<u64>) {
+        self.entries.retain(|(p, _)| !pages.contains(p));
+    }
 }
 
 fn access_kind(rng: &mut SimRng) -> Access {
@@ -69,6 +74,55 @@ fn lru_matches_reference_model() {
             let kind = access_kind(&mut rng);
             pool.access(PageId(page), kind);
             model.access(page, kind);
+            pool.check_invariants();
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.app_disk_reads, model.disk_reads, "seed {seed}");
+        assert_eq!(stats.app_disk_writes, model.disk_writes, "seed {seed}");
+        assert_eq!(pool.resident_pages(), model.entries.len(), "seed {seed}");
+        for (page, _) in &model.entries {
+            assert!(pool.is_resident(PageId(*page)), "seed {seed}");
+        }
+    }
+}
+
+/// A page id that mostly lands in a small hot set but often far out in a
+/// wide range, so the dense page index keeps growing mid-run.
+fn wide_page(rng: &mut SimRng) -> u64 {
+    if rng.chance(0.5) {
+        rng.below(16)
+    } else {
+        rng.below(4096)
+    }
+}
+
+/// A contiguous page range, like a collected partition's pages.
+fn page_range(rng: &mut SimRng) -> std::ops::Range<u64> {
+    let start = wide_page(rng);
+    start..start + rng.range_inclusive(1, 48)
+}
+
+#[test]
+fn lru_matches_reference_model_over_a_growing_page_index() {
+    for seed in 0..40u64 {
+        let mut rng = SimRng::new(seed);
+        let capacity = rng.range_inclusive(1, 64) as usize;
+        let mut pool = BufferPool::new(capacity);
+        let mut model = NaiveLru {
+            capacity,
+            ..NaiveLru::default()
+        };
+        for _ in 0..rng.range_inclusive(1, 600) {
+            if rng.chance(0.05) {
+                let range = page_range(&mut rng);
+                pool.invalidate(range.clone().map(PageId));
+                model.invalidate(range);
+            } else {
+                let page = wide_page(&mut rng);
+                let kind = access_kind(&mut rng);
+                pool.access(PageId(page), kind);
+                model.access(page, kind);
+            }
             pool.check_invariants();
         }
         let stats = pool.stats();
@@ -561,6 +615,41 @@ fn tiered_pool_disk_traffic_never_exceeds_network_traffic() {
         // Every disk read was triggered by a network fetch that missed the
         // server buffer; every disk write by a dirty page that first
         // travelled client -> server.
+        assert!(
+            s.disk_reads_app + s.disk_reads_gc <= s.net_reads_app + s.net_reads_gc,
+            "seed {seed}"
+        );
+        assert!(
+            s.disk_writes_app + s.disk_writes_gc <= s.net_writebacks_app + s.net_writebacks_gc,
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn tiered_pool_invalidation_over_a_growing_page_index() {
+    use pgc::buffer::TieredPool;
+    for seed in 0..40u64 {
+        let mut rng = SimRng::new(seed);
+        let client = rng.range_inclusive(1, 16) as usize;
+        let server = rng.range_inclusive(1, 64) as usize;
+        let mut pool = TieredPool::new(client, server);
+        for _ in 0..rng.range_inclusive(1, 600) {
+            if rng.chance(0.05) {
+                let range = page_range(&mut rng);
+                pool.invalidate(range.clone().map(PageId));
+                for page in range.map(PageId) {
+                    assert!(!pool.client_resident(page), "seed {seed}: {page}");
+                    assert!(!pool.server_resident(page), "seed {seed}: {page}");
+                }
+            } else {
+                let page = PageId(wide_page(&mut rng));
+                pool.access(page, access_kind(&mut rng));
+                assert!(pool.client_resident(page), "seed {seed}: {page}");
+            }
+            pool.check_invariants();
+        }
+        let s = pool.stats();
         assert!(
             s.disk_reads_app + s.disk_reads_gc <= s.net_reads_app + s.net_reads_gc,
             "seed {seed}"
