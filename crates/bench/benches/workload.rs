@@ -49,6 +49,12 @@ fn main() {
         let trace = EncodedTrace::record(WorkloadParams::small().with_seed(3)).unwrap();
         black_box(trace.events())
     });
+    // The paper configuration (~486k events): what every sweep job, fleet
+    // tenant and durable run pays once before replaying.
+    r.bench("encoded/record_paper", || {
+        let trace = EncodedTrace::record(WorkloadParams::default().with_seed(1000)).unwrap();
+        black_box(trace.events())
+    });
     let trace = EncodedTrace::record(WorkloadParams::small().with_seed(3)).unwrap();
     r.bench("encoded/cursor_replay", || {
         let mut n = 0u64;

@@ -13,9 +13,12 @@
 //!   a compact tagged encoding (`u32` ids with a wide fallback — the log
 //!   is write-amplification-sensitive, so it packs tighter than the PGCT
 //!   trace codec), making the log a replayable trace; safepoint frames
-//!   mark collection boundaries and snapshot generations. The reader
-//!   tolerates a torn tail: a truncated or corrupted final frame is
-//!   detected by length/checksum and dropped, never a crash.
+//!   mark collection boundaries and snapshot generations.
+//!   [`log::LogReader`], the one frame parser, streams checksum-verified
+//!   events frames into caller-owned `EventBlock`s up to a caller-given
+//!   limit ([`log::read_log`] collects it into a `Vec`). It tolerates a
+//!   torn tail: a truncated or corrupted final frame is detected by
+//!   length/checksum and dropped, never a crash.
 //! * [`snapshot`] — per-partition `snap-*.pgcs` files written at
 //!   collection safepoints: versioned header, length-prefixed object
 //!   records (oid, size, weight, birth, pointer slots), CRC-32 footer,
@@ -36,7 +39,7 @@
 //!   directory for tests and benches (no external tempfile dependency).
 //!
 //! Recovery itself lives in `pgc-sim` (it needs `RunConfig` and the
-//! `Replayer` pump); this crate supplies the file formats and readers.
+//! `Shard` block pump); this crate supplies the file formats and readers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +55,7 @@ pub mod store;
 pub mod tempdir;
 
 pub use config::{DurabilityConfig, DurabilityMode};
-pub use log::{read_log, LogContents, SafepointNote, TornTail};
+pub use log::{read_log, LogContents, LogReader, SafepointNote, TornTail};
 pub use manifest::Manifest;
 pub use observer::{LogObserver, SafepointSignal};
 pub use snapshot::{read_snapshot, scan_snapshots, PartitionSnapshot, SnapshotRecord};

@@ -18,19 +18,22 @@
 //!   generation u64` — a collection boundary; `generation` names the
 //!   snapshot generation written at this safepoint (0 = none).
 //!
-//! The reader is torn-tail tolerant: a truncated or checksum-corrupt
-//! frame at the end of the **newest** segment is reported as a
-//! [`TornTail`] and dropped (frames end on event boundaries, so the
-//! surviving prefix is always cleanly replayable). The same damage in an
-//! older segment is a hard [`PgcError::TraceFormat`] error — that is real
-//! corruption, not an interrupted write.
+//! One frame parser reads it back: [`LogReader`] streams events frames
+//! straight into caller-owned [`EventBlock`]s (recovery replays them with
+//! no intermediate `Vec<Event>`), and [`read_log`] is that stream
+//! collected. The reader is torn-tail tolerant: a truncated or
+//! checksum-corrupt frame at the end of the **newest** segment is
+//! reported as a [`TornTail`] and dropped (frames end on event
+//! boundaries, so the surviving prefix is always cleanly replayable). The
+//! same damage in an older segment is a hard [`PgcError::TraceFormat`]
+//! error — that is real corruption, not an interrupted write.
 
 use crate::codec::decode_compact;
 use crate::crc::{crc32, Crc32};
 use pgc_types::{PgcError, Result};
-use pgc_workload::Event;
+use pgc_workload::{Event, EventBlock, BLOCK_EVENTS};
 use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::thread;
@@ -307,165 +310,298 @@ pub struct LogContents {
     pub segments: usize,
 }
 
-/// Reads the whole change log under `dir`, tolerating a torn tail in the
-/// newest segment.
+/// Reads the whole change log under `dir` into memory, tolerating a torn
+/// tail in the newest segment: [`LogReader`] collected into one `Vec`.
 pub fn read_log(dir: &Path) -> Result<LogContents> {
-    let mut seqs: Vec<u64> = Vec::new();
-    for entry in fs::read_dir(dir).map_err(io_err)? {
-        let name = entry.map_err(io_err)?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("log-")
-            .and_then(|s| s.strip_suffix(".pgcl"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            seqs.push(seq);
+    let mut reader = LogReader::open(dir)?;
+    let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
+    let mut events = Vec::new();
+    while reader.next_block(&mut block, BLOCK_EVENTS)? > 0 {
+        events.extend(block.iter());
+    }
+    Ok(LogContents {
+        events,
+        segments: reader.segments as usize,
+        safepoints: reader.safepoints,
+        torn: reader.torn,
+    })
+}
+
+/// Streams a data directory's change log into caller-owned
+/// [`EventBlock`]s, one CRC-checked frame at a time.
+///
+/// Segments are opened in sequence order; each header's magic, version,
+/// sequence number and `start_event` (the events decoded before it) are
+/// checked on open. A frame's checksum is verified over the whole frame
+/// before any of its events is decoded, so a block never holds an event
+/// from a damaged frame. Safepoint frames met on the way are collected
+/// into [`LogReader::safepoints`]. A truncated or checksum-corrupt frame
+/// in the newest segment ends the stream and is reported as
+/// [`LogReader::torn_tail`]; anywhere else it is a
+/// [`PgcError::TraceFormat`] error, as is a frame whose event count,
+/// trailing bytes or safepoint size disagree with its length.
+///
+/// Memory is one frame plus the caller's block, however long the log.
+pub struct LogReader {
+    dir: PathBuf,
+    /// Segment files found (sequence numbers `0..segments`).
+    segments: u64,
+    /// Next segment to open.
+    next_seq: u64,
+    /// The open segment; `None` between segments and at the end.
+    segment: Option<SegmentFile>,
+    /// Sequence number of the segment `frame` came from.
+    seq: u64,
+    /// The current frame: kind byte then payload, checksum verified.
+    frame: Vec<u8>,
+    /// Decode position inside `frame`.
+    pos: usize,
+    /// Events of the current events frame not yet decoded.
+    left: u32,
+    /// Events decoded so far, over all segments.
+    decoded: u64,
+    safepoints: Vec<SafepointNote>,
+    torn: Option<TornTail>,
+}
+
+struct SegmentFile {
+    file: File,
+    len: u64,
+    pos: u64,
+    last: bool,
+}
+
+/// Outcome of reading one frame off a segment.
+enum FrameRead {
+    /// The segment ended exactly at a frame boundary.
+    End,
+    /// The frame is truncated or fails its checksum.
+    Damaged(&'static str),
+    /// A whole, checksum-verified frame is in the buffer.
+    Frame,
+}
+
+impl SegmentFile {
+    /// Reads the next frame's kind byte and payload into `frame`.
+    fn read_frame(&mut self, frame: &mut Vec<u8>) -> Result<FrameRead> {
+        let remaining = self.len - self.pos;
+        if remaining == 0 {
+            return Ok(FrameRead::End);
         }
+        if remaining < 4 + 1 + 4 {
+            return Ok(FrameRead::Damaged("truncated frame header"));
+        }
+        let mut len = [0u8; 4];
+        self.file.read_exact(&mut len).map_err(io_err)?;
+        let body = 1 + u64::from(u32::from_le_bytes(len)) + 4;
+        if remaining - 4 < body {
+            return Ok(FrameRead::Damaged("truncated frame body"));
+        }
+        frame.clear();
+        frame.resize(body as usize, 0);
+        self.file.read_exact(frame).map_err(io_err)?;
+        self.pos += 4 + body;
+        let crc_at = frame.len() - 4;
+        let stated_crc = u32::from_le_bytes(frame[crc_at..].try_into().unwrap());
+        frame.truncate(crc_at);
+        if crc32(frame) != stated_crc {
+            return Ok(FrameRead::Damaged("frame checksum mismatch"));
+        }
+        Ok(FrameRead::Frame)
     }
-    seqs.sort_unstable();
-    if seqs.is_empty() {
-        return Err(PgcError::TraceFormat(format!(
-            "no log segments under {}",
-            dir.display()
-        )));
-    }
-    let mut contents = LogContents {
-        events: Vec::new(),
-        safepoints: Vec::new(),
-        torn: None,
-        segments: seqs.len(),
-    };
-    for (i, &seq) in seqs.iter().enumerate() {
-        if seq != i as u64 {
+}
+
+impl LogReader {
+    /// Finds the log segments under `dir`; fails if there are none or
+    /// their sequence numbers are not `0, 1, 2, …`.
+    pub fn open(dir: &Path) -> Result<Self> {
+        let mut seqs: Vec<u64> = Vec::new();
+        for entry in fs::read_dir(dir).map_err(io_err)? {
+            let name = entry.map_err(io_err)?.file_name();
+            let name = name.to_string_lossy();
+            if let Some(seq) = name
+                .strip_prefix("log-")
+                .and_then(|s| s.strip_suffix(".pgcl"))
+                .and_then(|s| s.parse::<u64>().ok())
+            {
+                seqs.push(seq);
+            }
+        }
+        seqs.sort_unstable();
+        if seqs.is_empty() {
             return Err(PgcError::TraceFormat(format!(
-                "log segments not contiguous: expected seq {i}, found {seq}"
+                "no log segments under {}",
+                dir.display()
             )));
         }
-        let last = i + 1 == seqs.len();
-        read_segment(dir, seq, last, &mut contents)?;
-        if contents.torn.is_some() {
-            break;
+        for (i, &seq) in seqs.iter().enumerate() {
+            if seq != i as u64 {
+                return Err(PgcError::TraceFormat(format!(
+                    "log segments not contiguous: expected seq {i}, found {seq}"
+                )));
+            }
         }
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            segments: seqs.len() as u64,
+            next_seq: 0,
+            segment: None,
+            seq: 0,
+            frame: Vec::new(),
+            pos: 0,
+            left: 0,
+            decoded: 0,
+            safepoints: Vec::new(),
+            torn: None,
+        })
     }
-    Ok(contents)
-}
 
-fn read_segment(dir: &Path, seq: u64, last: bool, out: &mut LogContents) -> Result<()> {
-    let bytes = fs::read(dir.join(segment_name(seq))).map_err(io_err)?;
-    let torn = |offset: usize, reason: &str| TornTail {
-        segment: seq,
-        offset: offset as u64,
-        reason: reason.to_string(),
-    };
-    let hard = |reason: &str| {
-        PgcError::TraceFormat(format!(
-            "log segment {seq}: {reason} (not in newest segment)"
-        ))
-    };
-    if bytes.len() < HEADER_BYTES as usize || &bytes[..4] != MAGIC {
-        return Err(PgcError::TraceFormat(format!(
-            "log segment {seq}: bad or missing header"
-        )));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != VERSION {
-        return Err(PgcError::TraceFormat(format!(
-            "log segment {seq}: unsupported version {version}"
-        )));
-    }
-    let stated_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    if stated_seq != seq {
-        return Err(PgcError::TraceFormat(format!(
-            "log segment {seq}: header says seq {stated_seq}"
-        )));
-    }
-    let start_event = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    if start_event != out.events.len() as u64 {
-        return Err(PgcError::TraceFormat(format!(
-            "log segment {seq}: starts at event {start_event}, but {} events precede it",
-            out.events.len()
-        )));
-    }
-    let mut pos = HEADER_BYTES as usize;
-    while pos < bytes.len() {
-        let frame_start = pos;
-        if bytes.len() - pos < 4 + 1 + 4 {
-            if last {
-                out.torn = Some(torn(frame_start, "truncated frame header"));
-                return Ok(());
+    /// Clears `block` and decodes up to `limit` events into it, returning
+    /// how many — `0` once the log (or its surviving prefix) is exhausted.
+    /// A block may span frames and segments; safepoint frames are consumed
+    /// on the way.
+    pub fn next_block(&mut self, block: &mut EventBlock, limit: usize) -> Result<usize> {
+        block.clear();
+        while block.len() < limit {
+            if self.left == 0 && !self.next_events_frame()? {
+                break;
             }
-            return Err(hard("truncated frame header"));
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4;
-        if bytes.len() - pos < 1 + len + 4 {
-            if last {
-                out.torn = Some(torn(frame_start, "truncated frame body"));
-                return Ok(());
-            }
-            return Err(hard("truncated frame body"));
-        }
-        let kind_and_payload = &bytes[pos..pos + 1 + len];
-        let stated_crc =
-            u32::from_le_bytes(bytes[pos + 1 + len..pos + 1 + len + 4].try_into().unwrap());
-        if crc32(kind_and_payload) != stated_crc {
-            if last {
-                out.torn = Some(torn(frame_start, "frame checksum mismatch"));
-                return Ok(());
-            }
-            return Err(hard("frame checksum mismatch"));
-        }
-        let kind = kind_and_payload[0];
-        let payload = &kind_and_payload[1..];
-        pos += 1 + len + 4;
-        match kind {
-            FRAME_EVENTS => decode_events_frame(seq, payload, &mut out.events)?,
-            FRAME_SAFEPOINT => {
-                if payload.len() != 24 {
-                    return Err(PgcError::TraceFormat(format!(
-                        "log segment {seq}: safepoint frame has {} bytes",
-                        payload.len()
-                    )));
+            let take = (limit - block.len()).min(self.left as usize);
+            for _ in 0..take {
+                match decode_compact(&self.frame, &mut self.pos)? {
+                    Some(event) => block.push(&event),
+                    None => return Err(self.bad("events frame ended early")),
                 }
-                out.safepoints.push(SafepointNote {
-                    events_applied: u64::from_le_bytes(payload[..8].try_into().unwrap()),
-                    collections: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
-                    generation: u64::from_le_bytes(payload[16..].try_into().unwrap()),
-                });
             }
-            other => {
-                return Err(PgcError::TraceFormat(format!(
-                    "log segment {seq}: unknown frame kind {other}"
-                )));
-            }
+            // Counted per frame chunk, so a segment opened later in this
+            // same block checks its `start_event` against the true count.
+            self.left -= take as u32;
+            self.decoded += take as u64;
+            self.check_frame_end()?;
         }
+        Ok(block.len())
     }
-    Ok(())
-}
 
-fn decode_events_frame(seq: u64, payload: &[u8], events: &mut Vec<Event>) -> Result<()> {
-    if payload.len() < 4 {
-        return Err(PgcError::TraceFormat(format!(
-            "log segment {seq}: events frame too short"
-        )));
+    /// Safepoint markers read so far, in append order.
+    pub fn safepoints(&self) -> &[SafepointNote] {
+        &self.safepoints
     }
-    let count = u32::from_le_bytes(payload[..4].try_into().unwrap());
-    let body = &payload[4..];
-    let mut pos = 0usize;
-    for _ in 0..count {
-        match decode_compact(body, &mut pos)? {
-            Some(event) => events.push(event),
-            None => {
-                return Err(PgcError::TraceFormat(format!(
-                    "log segment {seq}: events frame ended early"
-                )));
+
+    /// The torn tail that ended the stream, once one has been met.
+    pub fn torn_tail(&self) -> Option<&TornTail> {
+        self.torn.as_ref()
+    }
+
+    fn bad(&self, reason: &str) -> PgcError {
+        PgcError::TraceFormat(format!("log segment {}: {reason}", self.seq))
+    }
+
+    /// A fully decoded events frame must end exactly at its last event.
+    fn check_frame_end(&self) -> Result<()> {
+        if self.left == 0 && self.pos != self.frame.len() {
+            return Err(self.bad("events frame has trailing bytes"));
+        }
+        Ok(())
+    }
+
+    /// Advances to the next events frame, opening segments and collecting
+    /// safepoint frames on the way. `false` at the end of the log.
+    fn next_events_frame(&mut self) -> Result<bool> {
+        loop {
+            if self.segment.is_none() {
+                if self.torn.is_some() || self.next_seq == self.segments {
+                    return Ok(false);
+                }
+                self.open_segment()?;
+            }
+            let segment = self.segment.as_mut().expect("segment opened above");
+            let frame_start = segment.pos;
+            match segment.read_frame(&mut self.frame)? {
+                FrameRead::End => self.segment = None,
+                FrameRead::Damaged(reason) => {
+                    if !segment.last {
+                        return Err(self.bad(&format!("{reason} (not in newest segment)")));
+                    }
+                    self.torn = Some(TornTail {
+                        segment: self.seq,
+                        offset: frame_start,
+                        reason: reason.to_string(),
+                    });
+                    self.segment = None;
+                    return Ok(false);
+                }
+                FrameRead::Frame => {
+                    let payload = &self.frame[1..];
+                    match self.frame[0] {
+                        FRAME_EVENTS => {
+                            if payload.len() < 4 {
+                                return Err(self.bad("events frame too short"));
+                            }
+                            self.left = u32::from_le_bytes(payload[..4].try_into().unwrap());
+                            self.pos = 1 + 4;
+                            if self.left > 0 {
+                                return Ok(true);
+                            }
+                            self.check_frame_end()?;
+                        }
+                        FRAME_SAFEPOINT => {
+                            if payload.len() != 24 {
+                                return Err(self
+                                    .bad(&format!("safepoint frame has {} bytes", payload.len())));
+                            }
+                            self.safepoints.push(SafepointNote {
+                                events_applied: u64::from_le_bytes(
+                                    payload[..8].try_into().unwrap(),
+                                ),
+                                collections: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
+                                generation: u64::from_le_bytes(payload[16..].try_into().unwrap()),
+                            });
+                        }
+                        other => {
+                            return Err(self.bad(&format!("unknown frame kind {other}")));
+                        }
+                    }
+                }
             }
         }
     }
-    if pos != body.len() {
-        return Err(PgcError::TraceFormat(format!(
-            "log segment {seq}: events frame has trailing bytes"
-        )));
+
+    /// Opens segment `next_seq` and checks its header.
+    fn open_segment(&mut self) -> Result<()> {
+        let seq = self.next_seq;
+        self.seq = seq;
+        let mut file = File::open(self.dir.join(segment_name(seq))).map_err(io_err)?;
+        let len = file.metadata().map_err(io_err)?.len();
+        let mut header = [0u8; HEADER_BYTES as usize];
+        if len < HEADER_BYTES {
+            return Err(self.bad("bad or missing header"));
+        }
+        file.read_exact(&mut header).map_err(io_err)?;
+        if &header[..4] != MAGIC {
+            return Err(self.bad("bad or missing header"));
+        }
+        let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        if version != VERSION {
+            return Err(self.bad(&format!("unsupported version {version}")));
+        }
+        let stated_seq = u64::from_le_bytes(header[8..16].try_into().unwrap());
+        if stated_seq != seq {
+            return Err(self.bad(&format!("header says seq {stated_seq}")));
+        }
+        let start_event = u64::from_le_bytes(header[16..24].try_into().unwrap());
+        if start_event != self.decoded {
+            return Err(self.bad(&format!(
+                "starts at event {start_event}, but {} events precede it",
+                self.decoded
+            )));
+        }
+        self.segment = Some(SegmentFile {
+            file,
+            len,
+            pos: HEADER_BYTES,
+            last: seq + 1 == self.segments,
+        });
+        self.next_seq += 1;
+        Ok(())
     }
-    Ok(())
 }

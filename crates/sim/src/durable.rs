@@ -9,13 +9,17 @@
 //!
 //! 1. read and checksum-verify the manifest, rebuild the exact
 //!    [`RunConfig`] (durability forced off — recovery does not re-persist);
-//! 2. read the change log, dropping a torn tail (a truncated or corrupted
-//!    final frame) at the checksum boundary;
-//! 3. replay the surviving events through the ordinary [`crate::Shard`]
-//!    pump — the same `Replayer` every run uses — pausing at each
-//!    safepoint to cross-check the **newest valid** snapshot of every
-//!    partition against the replayed database (corrupt snapshot files are
-//!    skipped in favor of an older valid generation);
+//! 2. stream the change log through a [`LogReader`]: each CRC-checked
+//!    events frame decodes straight into one reused `EventBlock`, and a
+//!    torn tail (a truncated or corrupted final frame) ends the stream at
+//!    the checksum boundary;
+//! 3. step every block through the ordinary [`crate::Shard`] pump
+//!    ([`crate::Shard::step_block`], the path every run uses), cutting
+//!    blocks at each snapshot's `events_applied` so the **newest valid**
+//!    snapshot of every partition is cross-checked against the replayed
+//!    database exactly when the replay reaches it (corrupt snapshot files
+//!    are skipped in favor of an older valid generation; snapshots past a
+//!    torn tail are never reached);
 //! 4. finish the shard into a [`RunOutcome`].
 //!
 //! Because the simulator is deterministic and the log records inputs
@@ -29,10 +33,11 @@
 use crate::run::{RunConfig, RunOutcome};
 use crate::shard::Shard;
 use pgc_core::{PolicyKind, Trigger};
-use pgc_durable::{read_log, read_snapshot, scan_snapshots, Manifest, TornTail};
+use pgc_durable::{read_snapshot, scan_snapshots, LogReader, Manifest, TornTail};
 use pgc_telemetry::TelemetryLevel;
 use pgc_types::{fast_hash_u64, Bytes, Parallelism, PgcError, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
+use pgc_workload::{EventBlock, BLOCK_EVENTS};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -214,7 +219,7 @@ pub struct RecoveredRun {
 pub fn recover(dir: &Path) -> Result<RecoveredRun> {
     let manifest = Manifest::read_from(dir)?;
     let (cfg, telemetry_level) = config_from_manifest(&manifest)?;
-    let log = read_log(dir)?;
+    let mut log = LogReader::open(dir)?;
 
     // Newest valid snapshot per partition: scan ascending by generation,
     // keep the last file that parses + checksums cleanly.
@@ -228,37 +233,43 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
             Err(_) => snapshot_files_skipped += 1,
         }
     }
-    // Group into checkpoints by the event position they were taken at,
-    // dropping any from beyond a torn tail (their safepoint frame is gone).
+    // Group into checkpoints by the event position they were taken at.
     let mut checkpoints: BTreeMap<u64, Vec<pgc_durable::PartitionSnapshot>> = BTreeMap::new();
     for (_, snap) in newest {
-        if snap.events_applied <= log.events.len() as u64 {
-            checkpoints
-                .entry(snap.events_applied)
-                .or_default()
-                .push(snap);
-        }
+        checkpoints
+            .entry(snap.events_applied)
+            .or_default()
+            .push(snap);
     }
+    let mut checkpoints = checkpoints.into_iter().peekable();
 
     let mut shard = Shard::new(&cfg)?;
     shard.enable_telemetry(telemetry_level);
-    let mut at = 0usize;
+    let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
     let mut snapshots_verified = 0usize;
-    for (events_applied, snaps) in checkpoints {
-        let upto = events_applied as usize;
-        shard.step_batch(&log.events[at..upto])?;
-        at = upto;
-        for snap in snaps {
-            snap.verify_against(shard.db()).map_err(|mismatch| {
-                bad(format!(
-                    "recovery: snapshot generation {} diverges from replay: {mismatch}",
-                    snap.generation
-                ))
-            })?;
-            snapshots_verified += 1;
+    loop {
+        let applied = shard.events_applied();
+        if let Some((_, snaps)) = checkpoints.next_if(|&(at, _)| at == applied) {
+            for snap in snaps {
+                snap.verify_against(shard.db()).map_err(|mismatch| {
+                    bad(format!(
+                        "recovery: snapshot generation {} diverges from replay: {mismatch}",
+                        snap.generation
+                    ))
+                })?;
+                snapshots_verified += 1;
+            }
         }
+        // Cut the block at the next checkpoint; one past a torn tail is
+        // never reached.
+        let limit = checkpoints.peek().map_or(BLOCK_EVENTS, |&(at, _)| {
+            (at - applied).min(BLOCK_EVENTS as u64) as usize
+        });
+        if log.next_block(&mut block, limit)? == 0 {
+            break;
+        }
+        shard.step_block(&block)?;
     }
-    shard.step_batch(&log.events[at..])?;
     let events_replayed = shard.events_applied();
     let outcome = shard.finish(GenStats::default())?;
     Ok(RecoveredRun {
@@ -266,8 +277,8 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun> {
         cfg,
         telemetry_level,
         events_replayed,
-        torn_tail: log.torn,
-        safepoints: log.safepoints.len(),
+        torn_tail: log.torn_tail().cloned(),
+        safepoints: log.safepoints().len(),
         snapshots_verified,
         snapshot_files_skipped,
     })

@@ -2,10 +2,10 @@
 //!
 //! The paper's evaluation is trace-driven — one recorded application trace
 //! drives every policy with byte-identical input — yet a naive experiment
-//! grid re-runs the synthetic generator (mirror bookkeeping, attachment
-//! walks, per-node allocations) independently for every `(policy, seed)`
-//! job. This module is the generate-once / replay-many engine behind
-//! `pgc-sim`'s experiment scheduler:
+//! grid re-runs the synthetic generator (RNG draws and mirror bookkeeping
+//! for every event) independently for every `(policy, seed)` job. This
+//! module is the generate-once / replay-many engine behind `pgc-sim`'s
+//! experiment scheduler:
 //!
 //! * [`EncodedTrace`] — one workload's whole event stream as a single
 //!   contiguous byte buffer in the PGCT body layout of [`crate::trace`]
@@ -72,6 +72,15 @@ pub struct EncodedTrace {
     marks: Vec<usize>,
 }
 
+/// Bytes [`EncodedTrace::record`] reserves up front. The paper trace runs
+/// ~12.4 bytes/event and one event per ~21 allocated bytes, about 0.59
+/// bytes per allocated byte; reserving 5/8 of the allocation target
+/// covers that, so a paper trace never regrows (a regrowth doubles the
+/// buffer and `shrink_to_fit` then copies it back).
+fn initial_capacity(params: &WorkloadParams) -> usize {
+    (params.target_allocated.get() / 8 * 5).min(1 << 28) as usize
+}
+
 /// Event interval between recorded byte marks — one mark per decode block,
 /// so block-sized segmentation never scans.
 pub const MARK_EVERY: u64 = crate::block::BLOCK_EVENTS as u64;
@@ -82,9 +91,7 @@ impl EncodedTrace {
     /// experiment pays per parameter set, however many policies replay it.
     pub fn record(params: WorkloadParams) -> Result<Self> {
         let mut generator = SyntheticWorkload::new(params.clone())?;
-        // The paper trace runs ~12.4 bytes/event and one event per ~21
-        // allocated bytes; seed the buffer near that to avoid regrowth.
-        let mut buf = Vec::with_capacity((params.target_allocated.get() / 2).min(1 << 28) as usize);
+        let mut buf = Vec::with_capacity(initial_capacity(&params));
         let mut marks = Vec::new();
         let mut events = 0u64;
         for event in generator.by_ref() {
@@ -489,6 +496,29 @@ impl TraceCache {
 mod tests {
     use super::*;
     use crate::trace::{read_trace, write_trace};
+    use pgc_types::Bytes;
+
+    #[test]
+    fn paper_traces_fit_the_initial_reservation() {
+        let paper = WorkloadParams::default();
+        let quarter = paper
+            .clone()
+            .with_seed(1001)
+            .with_target_allocated(Bytes(paper.target_allocated.get() / 4));
+        let configs = (1000..1004)
+            .map(|seed| paper.clone().with_seed(seed))
+            .chain([quarter]);
+        for params in configs {
+            let reserved = initial_capacity(&params);
+            let trace = EncodedTrace::record(params.clone()).unwrap();
+            assert!(
+                trace.byte_len() <= reserved,
+                "seed {}: {} trace bytes outgrow the {reserved}-byte reservation",
+                params.seed,
+                trace.byte_len()
+            );
+        }
+    }
 
     fn small(seed: u64) -> WorkloadParams {
         WorkloadParams::small().with_seed(seed)

@@ -20,6 +20,13 @@
 //! The generator is deterministic in its seed and never inspects the
 //! simulated database, so recording its output and replaying the trace
 //! drives every policy with identical input.
+//!
+//! Cost per event is flat. A deletion attempt asks the [`Mirror`] whether
+//! its candidate is still attached, which is a stored flag (O(1)), and a
+//! round allocates nothing once the generator's scratch buffers (tree
+//! shape, emission queue, traversal work list) have grown to the largest
+//! tree: the shape is a `[Option<usize>; 2]` child table indexed by slot,
+//! already in left-before-right emission order.
 
 use crate::event::{Event, NodeId};
 use crate::mirror::{Mirror, TREE_SLOTS};
@@ -69,6 +76,24 @@ pub struct SyntheticWorkload {
     pending: VecDeque<Event>,
     stats: GenStats,
     done: bool,
+    scratch: Scratch,
+}
+
+/// Buffers a round reuses instead of allocating: after the largest tree
+/// so far, building, traversing and mutating allocate nothing.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Free tree slots `(node, slot)` while drawing a tree's shape.
+    open_slots: Vec<(usize, u16)>,
+    /// Shape of the tree being built: `children[i][slot]`, so iterating a
+    /// row yields children left before right.
+    children: Vec<[Option<usize>; 2]>,
+    /// Mirror id of each shape node, assigned in breadth-first order.
+    ids: Vec<Option<NodeId>>,
+    /// Breadth-first emission queue (shape indices).
+    queue: VecDeque<usize>,
+    /// Traversal work list: stack for depth-first, queue for breadth-first.
+    work: VecDeque<NodeId>,
 }
 
 impl SyntheticWorkload {
@@ -83,6 +108,7 @@ impl SyntheticWorkload {
             pending: VecDeque::new(),
             stats: GenStats::default(),
             done: false,
+            scratch: Scratch::default(),
         })
     }
 
@@ -128,33 +154,32 @@ impl SyntheticWorkload {
             .rng
             .range_inclusive(self.params.tree_nodes_min, self.params.tree_nodes_max)
             as usize;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch {
+            open_slots,
+            children,
+            ids,
+            queue,
+            ..
+        } = &mut scratch;
 
         // 1. Random binary tree shape: attach node i to a uniformly random
-        //    free child slot of the existing nodes.
-        let mut parents: Vec<Option<(usize, u16)>> = vec![None; n];
-        let mut open_slots: Vec<(usize, u16)> = vec![(0, 0), (0, 1)];
-        for (i, parent) in parents.iter_mut().enumerate().skip(1) {
+        //    free child slot of the existing nodes. Leaves are the nodes no
+        //    one attaches to.
+        children.clear();
+        children.resize(n, [None, None]);
+        open_slots.clear();
+        open_slots.extend([(0, 0), (0, 1)]);
+        for i in 1..n {
             let k = self.rng.pick_index(open_slots.len());
             let (p, s) = open_slots.swap_remove(k);
-            *parent = Some((p, s));
+            children[p][s as usize] = Some(i);
             open_slots.push((i, 0));
             open_slots.push((i, 1));
         }
 
-        // 2. Leaves are the nodes no one attaches to.
-        let mut has_child = vec![false; n];
-        for parent in parents.iter().flatten() {
-            has_child[parent.0] = true;
-        }
-
-        // 3. Emit creations in breadth-first order (the paper's placement
-        //    order). Children lists come from the shape.
-        let mut children: Vec<Vec<(usize, u16)>> = vec![Vec::new(); n];
-        for (i, parent) in parents.iter().enumerate() {
-            if let Some((p, s)) = parent {
-                children[*p].push((i, *s));
-            }
-        }
+        // 2. Emit creations in breadth-first order (the paper's placement
+        //    order), left child before right.
         let p_large = self.params.large_leaf_probability();
         let root_size = self.small_size();
         let root_id = self.mirror.add_root(false);
@@ -164,15 +189,17 @@ impl SyntheticWorkload {
             slots: TREE_SLOTS,
         });
 
-        let mut ids: Vec<Option<NodeId>> = vec![None; n];
+        ids.clear();
+        ids.resize(n, None);
         ids[0] = Some(root_id);
-        let mut queue: VecDeque<usize> = VecDeque::from([0]);
+        queue.clear();
+        queue.push_back(0);
         while let Some(i) = queue.pop_front() {
             let parent_id = ids[i].expect("BFS emits parents before children");
-            let mut kids = children[i].clone();
-            kids.sort_by_key(|&(_, s)| s); // left before right
-            for (c, slot) in kids {
-                let is_large = !has_child[c] && self.rng.chance(p_large);
+            for (slot, c) in (0..TREE_SLOTS).zip(children[i]) {
+                let Some(c) = c else { continue };
+                let is_leaf = children[c] == [None, None];
+                let is_large = is_leaf && self.rng.chance(p_large);
                 let size = if is_large {
                     Bytes(self.params.large_object_size)
                 } else {
@@ -193,8 +220,9 @@ impl SyntheticWorkload {
                 queue.push_back(c);
             }
         }
+        self.scratch = scratch;
 
-        // 4. Dense edges between random nodes of this tree.
+        // 3. Dense edges between random nodes of this tree.
         let dense = (self.params.dense_edge_fraction * n as f64).round() as usize;
         let tree = self.mirror.node(root_id).tree;
         for _ in 0..dense {
@@ -247,8 +275,9 @@ impl SyntheticWorkload {
         let depth_first = roll < self.params.p_no_traversal + self.params.p_depth_first;
         let root = self.mirror.root_of(tree);
 
-        // Work list: stack for DFS, queue for BFS.
-        let mut work: VecDeque<NodeId> = VecDeque::from([root]);
+        let work = &mut self.scratch.work;
+        work.clear();
+        work.push_back(root);
         while let Some(node) = if depth_first {
             work.pop_back()
         } else {
@@ -287,13 +316,18 @@ impl SyntheticWorkload {
                 continue;
             }
             let node = self.mirror.node(candidate);
-            let filled: Vec<u16> = (0..TREE_SLOTS)
-                .filter(|&s| node.tree_children[s as usize].is_some())
-                .collect();
-            if filled.is_empty() {
+            let mut filled = [0u16; TREE_SLOTS as usize];
+            let mut len = 0;
+            for s in 0..TREE_SLOTS {
+                if node.tree_children[s as usize].is_some() {
+                    filled[len] = s;
+                    len += 1;
+                }
+            }
+            if len == 0 {
                 continue;
             }
-            let slot = *self.rng.pick(&filled);
+            let slot = *self.rng.pick(&filled[..len]);
             self.mirror.set_slot(candidate, slot, None);
             self.pending.push_back(Event::WritePointer {
                 owner: candidate,

@@ -8,6 +8,15 @@
 //! [`Mirror::is_attached`], "does the chain of tree edges from this node up
 //! to its root still exist?"
 //!
+//! That answer is a stored flag, not a walk. A new node inherits its
+//! parent's flag, and clearing a tree slot of an attached owner clears the
+//! flag over the cut child's subtree, following the tree edges that still
+//! stand. A node is cleared at most once, so all deletions together cost
+//! O(nodes) and each query is O(1). This rests on one rule the mirror
+//! enforces: once created, a tree slot is only ever *cleared*
+//! ([`Mirror::set_slot`] panics on a non-null store into slots 0 and 1),
+//! so a detached subtree can never be re-attached.
+//!
 //! Note the mirror deliberately ignores dense edges for attachment: the
 //! paper's traversals "are only done on the edges that constitute the
 //! binary trees", and its mutations target tree edges. An object kept alive
@@ -24,9 +33,10 @@ pub const TREE_SLOTS: u16 = 2;
 pub struct MirrorNode {
     /// Tree this node belongs to (index into the mirror's root list).
     pub tree: u32,
-    /// The tree edge pointing here: `(parent, parent's slot)`. `None` for
-    /// roots. The link is *not* cleared when the edge is deleted; liveness
-    /// is re-checked against the parent's slot (see [`Mirror::is_attached`]).
+    /// The tree edge this node was created under: `(parent, parent's
+    /// slot)`. `None` for roots. The link is *not* cleared when the edge is
+    /// deleted (the parent's slot is); attachment is the separate flag
+    /// behind [`Mirror::is_attached`].
     pub parent: Option<(NodeId, u16)>,
     /// Tree children (slots 0 and 1).
     pub tree_children: [Option<NodeId>; 2],
@@ -34,6 +44,8 @@ pub struct MirrorNode {
     pub extra_slots: Vec<Option<NodeId>>,
     /// Whether this node was created as a large leaf object.
     pub is_large: bool,
+    /// Whether the chain of tree edges up to the root still stands.
+    attached: bool,
 }
 
 impl MirrorNode {
@@ -61,6 +73,8 @@ pub struct Mirror {
     nodes: Vec<MirrorNode>,
     roots: Vec<NodeId>,
     tree_members: Vec<Vec<NodeId>>,
+    /// Reusable work stack for detaching a cut subtree.
+    detach: Vec<NodeId>,
 }
 
 impl Mirror {
@@ -104,6 +118,7 @@ impl Mirror {
             tree_children: [None, None],
             extra_slots: Vec::new(),
             is_large,
+            attached: true,
         });
         self.roots.push(id);
         self.tree_members.push(vec![id]);
@@ -123,13 +138,14 @@ impl Mirror {
             "tree slot already occupied"
         );
         let id = NodeId(self.nodes.len() as u64);
-        let tree = self.nodes[parent.as_usize()].tree;
+        let MirrorNode { tree, attached, .. } = self.nodes[parent.as_usize()];
         self.nodes.push(MirrorNode {
             tree,
             parent: Some((parent, slot)),
             tree_children: [None, None],
             extra_slots: Vec::new(),
             is_large,
+            attached,
         });
         self.nodes[parent.as_usize()].tree_children[slot as usize] = Some(id);
         self.tree_members[tree as usize].push(id);
@@ -144,32 +160,46 @@ impl Mirror {
         TREE_SLOTS + (n.extra_slots.len() - 1) as u16
     }
 
-    /// Records a pointer store `owner.slot := value` (dense edge creation
-    /// or tree edge deletion).
+    /// Records a pointer store `owner.slot := value`: a dense-edge store,
+    /// or the deletion of a tree edge. Deleting a tree edge below an
+    /// attached owner detaches the cut child's whole standing subtree.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-null store into a tree slot: tree slots are set
+    /// only at creation ([`Mirror::add_child`]), which is what keeps
+    /// attachment a one-way flag.
     pub fn set_slot(&mut self, owner: NodeId, slot: u16, value: Option<NodeId>) {
         let n = &mut self.nodes[owner.as_usize()];
-        if slot < TREE_SLOTS {
-            n.tree_children[slot as usize] = value;
-        } else {
+        if slot >= TREE_SLOTS {
             n.extra_slots[(slot - TREE_SLOTS) as usize] = value;
+            return;
+        }
+        assert!(value.is_none(), "tree slots are only ever cleared");
+        let cut = n.tree_children[slot as usize].take();
+        if let (Some(child), true) = (cut, n.attached) {
+            self.detach_subtree(child);
+        }
+    }
+
+    /// Clears the attached flag over `top`'s subtree along the tree edges
+    /// that still stand. Everything below an attached node through
+    /// standing edges is attached, so each node is visited once per
+    /// mirror lifetime.
+    fn detach_subtree(&mut self, top: NodeId) {
+        self.detach.push(top);
+        while let Some(id) = self.detach.pop() {
+            let node = &mut self.nodes[id.as_usize()];
+            debug_assert!(node.attached, "standing edge below a detached node");
+            node.attached = false;
+            self.detach.extend(node.tree_children.iter().flatten());
         }
     }
 
     /// True if the chain of tree edges from `id` to its tree root is
-    /// intact.
+    /// intact. O(1): a stored flag kept current by [`Mirror::set_slot`].
     pub fn is_attached(&self, id: NodeId) -> bool {
-        let mut cur = id;
-        loop {
-            match self.nodes[cur.as_usize()].parent {
-                None => return true, // reached a root
-                Some((parent, slot)) => {
-                    if self.nodes[parent.as_usize()].tree_children[slot as usize] != Some(cur) {
-                        return false;
-                    }
-                    cur = parent;
-                }
-            }
-        }
+        self.nodes[id.as_usize()].attached
     }
 
     /// Count of attached members of tree `t` (O(members) — used by tests
@@ -258,6 +288,37 @@ mod tests {
         assert_eq!(m.node(r).slot_count(), 2);
         m.add_extra_slot(r);
         assert_eq!(m.node(r).slot_count(), 3);
+    }
+
+    /// The reference answer: walk the parent chain to the root, checking
+    /// each edge still stands.
+    fn attached_by_walk(m: &Mirror, id: NodeId) -> bool {
+        let mut cur = id;
+        while let Some((parent, slot)) = m.node(cur).parent {
+            if m.node(parent).tree_children[slot as usize] != Some(cur) {
+                return false;
+            }
+            cur = parent;
+        }
+        true
+    }
+
+    #[test]
+    fn cutting_below_a_detached_node_keeps_flags_exact() {
+        let mut m = Mirror::new();
+        let r = m.add_root(false);
+        let a = m.add_child(r, 0, false);
+        let b = m.add_child(a, 0, false);
+        let c = m.add_child(b, 1, false);
+        let d = m.add_child(r, 1, false);
+        m.set_slot(r, 0, None); // detaches a, b, c
+        m.set_slot(b, 1, None); // cut inside the detached subtree
+        let e = m.add_child(a, 1, false); // born under a detached parent
+        m.set_slot(r, 0, None); // clearing an empty slot is a no-op
+        for id in [r, a, b, c, d, e] {
+            assert_eq!(m.is_attached(id), attached_by_walk(&m, id), "{id:?}");
+        }
+        assert_eq!(m.attached_count(0), 2);
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //! allocations, so any change to the RNG draw order or to the emitted
 //! event stream shows up here as a byte mismatch rather than only as a
 //! shifted simulation total.
-//!
-//! Run with `PGC_PRINT_GOLDENS=1 cargo test -p pgc-workload --test
-//! generator_golden -- --nocapture` to print the table in source form.
 
 use pgc_types::Bytes;
 use pgc_workload::generator::GenStats;
@@ -53,25 +50,17 @@ fn cases() -> Vec<(&'static str, WorkloadParams)> {
 /// `(case, FNV-1a of the PGCT file bytes, events, GenStats)`.
 type Golden = (&'static str, u64, u64, GenStats);
 
-const fn stats(
-    trees_built: u64,
-    nodes_created: u64,
-    large_objects: u64,
-    bytes_allocated: u64,
-    dense_edges: u64,
-    deletions: u64,
-    visits: u64,
-    data_writes: u64,
-) -> GenStats {
+/// `GenStats` from its fields in declaration order.
+const fn stats(v: [u64; 8]) -> GenStats {
     GenStats {
-        trees_built,
-        nodes_created,
-        large_objects,
-        bytes_allocated: Bytes(bytes_allocated),
-        dense_edges,
-        deletions,
-        visits,
-        data_writes,
+        trees_built: v[0],
+        nodes_created: v[1],
+        large_objects: v[2],
+        bytes_allocated: Bytes(v[3]),
+        dense_edges: v[4],
+        deletions: v[5],
+        visits: v[6],
+        data_writes: v[7],
     }
 }
 
@@ -80,37 +69,37 @@ const GOLDENS: &[Golden] = &[
         "small/0",
         0xd4af351f48b6cbd3,
         11630,
-        stats(60, 4853, 6, 530356, 392, 600, 5330, 63),
+        stats([60, 4853, 6, 530356, 392, 600, 5330, 63]),
     ),
     (
         "small/1",
         0xaf0c5d1450e7a337,
         9423,
-        stats(58, 4377, 11, 528404, 349, 579, 3734, 35),
+        stats([58, 4377, 11, 528404, 349, 579, 3734, 35]),
     ),
     (
         "small/2",
         0x4d1f49c951a0e881,
         10074,
-        stats(61, 4584, 10, 536045, 366, 609, 4110, 39),
+        stats([61, 4584, 10, 536045, 366, 609, 4110, 39]),
     ),
     (
         "paper/1000",
         0x324c7303122531a0,
         485717,
-        stats(169, 94762, 32, 11568800, 7584, 7591, 364575, 3621),
+        stats([169, 94762, 32, 11568800, 7584, 7591, 364575, 3621]),
     ),
     (
         "quarter/1001",
         0xb06fc52dd868b896,
         130979,
-        stats(49, 27618, 3, 2955725, 2207, 2183, 95833, 931),
+        stats([49, 27618, 3, 2955725, 2207, 2183, 95833, 931]),
     ),
     (
         "dense-0.75/4",
         0xa05173b131581f25,
         18361,
-        stats(58, 4805, 6, 526210, 3609, 580, 5699, 59),
+        stats([58, 4805, 6, 526210, 3609, 580, 5699, 59]),
     ),
 ];
 
@@ -123,35 +112,10 @@ fn observe(params: WorkloadParams) -> (u64, u64, GenStats) {
 
 #[test]
 fn generator_output_is_byte_identical_to_the_goldens() {
-    let observed: Vec<(&str, u64, u64, GenStats)> = cases()
-        .into_iter()
-        .map(|(name, params)| {
-            let (hash, events, stats) = observe(params);
-            (name, hash, events, stats)
-        })
-        .collect();
-    if std::env::var_os("PGC_PRINT_GOLDENS").is_some() {
-        for (name, hash, events, s) in &observed {
-            println!(
-                "    (\"{name}\", {hash:#018x}, {events}, stats({}, {}, {}, {}, {}, {}, {}, {})),",
-                s.trees_built,
-                s.nodes_created,
-                s.large_objects,
-                s.bytes_allocated.get(),
-                s.dense_edges,
-                s.deletions,
-                s.visits,
-                s.data_writes
-            );
-        }
-    }
-    assert_eq!(observed.len(), GOLDENS.len(), "one golden per case");
-    for (&(name, hash, events, stats), &(golden_name, golden_hash, golden_events, golden_stats)) in
-        observed.iter().zip(GOLDENS)
-    {
-        assert_eq!(name, golden_name, "golden table order");
-        assert_eq!(events, golden_events, "{name}: event count");
-        assert_eq!(stats, golden_stats, "{name}: generator stats");
-        assert_eq!(hash, golden_hash, "{name}: trace bytes");
+    let cases = cases();
+    assert_eq!(cases.len(), GOLDENS.len(), "one golden per case");
+    for ((name, params), golden) in cases.into_iter().zip(GOLDENS) {
+        let (hash, events, stats) = observe(params);
+        assert_eq!((name, hash, events, stats), *golden, "{name}");
     }
 }

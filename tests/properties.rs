@@ -10,6 +10,7 @@ use pgc::buffer::{Access, BufferPool};
 use pgc::core::{build_policy, Collector, PolicyKind, SelectionPolicy};
 use pgc::odb::{oracle, BarrierEvent, Database};
 use pgc::types::{Bytes, DbConfig, Oid, PageId, SimRng, SlotId};
+use pgc::workload::mirror::Mirror;
 use pgc::workload::{read_trace, write_trace, Event, NodeId};
 
 // ---------------------------------------------------------------------
@@ -182,6 +183,70 @@ fn trace_codec_round_trips() {
         let back = read_trace(buf.as_slice()).expect("decode");
         assert_eq!(back, events, "seed {seed}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Generator mirror: attachment flags vs the parent-chain walk
+// ---------------------------------------------------------------------
+
+/// Reference attachment: walk the parent chain to the root, checking that
+/// each tree edge on the way still stands.
+fn attached_by_walk(m: &Mirror, id: NodeId) -> bool {
+    let mut cur = id;
+    while let Some((parent, slot)) = m.node(cur).parent {
+        if m.node(parent).tree_children[slot as usize] != Some(cur) {
+            return false;
+        }
+        cur = parent;
+    }
+    true
+}
+
+#[test]
+fn mirror_attachment_flags_match_the_parent_chain_walk() {
+    for seed in 0..64u64 {
+        let mut rng = SimRng::new(seed);
+        let mut m = Mirror::new();
+        m.add_root(false);
+        for step in 0..400 {
+            let n = m.node_count();
+            let node = NodeId(rng.below(n as u64));
+            match rng.below(10) {
+                0 => {
+                    m.add_root(rng.chance(0.1));
+                }
+                1..=4 => {
+                    let slot = rng.below(2) as u16;
+                    if m.node(node).tree_children[slot as usize].is_none() {
+                        m.add_child(node, slot, false);
+                    }
+                }
+                5 | 6 => {
+                    let slot = m.add_extra_slot(node);
+                    let target = NodeId(rng.below(n as u64));
+                    m.set_slot(node, slot, Some(target));
+                }
+                _ => m.set_slot(node, rng.below(2) as u16, None),
+            }
+            for id in (0..m.node_count() as u64).map(NodeId) {
+                assert_eq!(
+                    m.is_attached(id),
+                    attached_by_walk(&m, id),
+                    "seed {seed} step {step}: node {id:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "only ever cleared")]
+fn mirror_rejects_re_setting_a_tree_slot() {
+    let mut m = Mirror::new();
+    let root = m.add_root(false);
+    let child = m.add_child(root, 1, false);
+    m.set_slot(root, 1, None);
+    m.set_slot(root, 1, Some(child));
 }
 
 #[test]
