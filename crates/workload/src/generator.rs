@@ -23,10 +23,12 @@
 //!
 //! Cost per event is flat. A deletion attempt asks the [`Mirror`] whether
 //! its candidate is still attached, which is a stored flag (O(1)), and a
-//! round allocates nothing once the generator's scratch buffers (tree
-//! shape, emission queue, traversal work list) have grown to the largest
-//! tree: the shape is a `[Option<usize>; 2]` child table indexed by slot,
-//! already in left-before-right emission order.
+//! round's working buffers (tree shape, emission queue, traversal work
+//! list) are generator-owned scratch reused from round to round: the
+//! shape is a `[Option<usize>; 2]` child table indexed by slot, already in
+//! left-before-right emission order. What still allocates is the model
+//! itself growing: the mirror's node table, one member list per tree, and
+//! a slot list per node that receives a dense edge.
 
 use crate::event::{Event, NodeId};
 use crate::mirror::{Mirror, TREE_SLOTS};
@@ -79,8 +81,9 @@ pub struct SyntheticWorkload {
     scratch: Scratch,
 }
 
-/// Buffers a round reuses instead of allocating: after the largest tree
-/// so far, building, traversing and mutating allocate nothing.
+/// Buffers each round reuses instead of allocating: once they have grown
+/// to the largest tree so far, building, traversing and mutating need no
+/// scratch allocation.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Free tree slots `(node, slot)` while drawing a tree's shape.
