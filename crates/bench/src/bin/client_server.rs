@@ -12,7 +12,7 @@
 //! The question it answers: **does multi-tenancy cost anything in
 //! fidelity?** It does not — the binary spot-checks that a stream's
 //! totals and victim sequence on the fleet are bit-identical to a
-//! dedicated single-`Simulation` run of the same events, and reports
+//! dedicated single-`Simulation` run of the same recorded trace, and reports
 //! aggregate throughput per shard alongside the fleet-wide telemetry
 //! merge.
 //!
@@ -25,14 +25,15 @@ use pgc_bench::{emit, CommonArgs};
 use pgc_core::PolicyKind;
 use pgc_server::{Server, ServerConfig, StreamId, TelemetryLevel};
 use pgc_sim::{paper, RunConfig, Simulation};
-use pgc_workload::{Event, NodeId, SyntheticWorkload};
+use pgc_workload::{EncodedTrace, NodeId, TraceSegment};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Events per submitted batch: small enough that thousands of streams
+/// Events per submitted segment: small enough that thousands of streams
 /// interleave on the inboxes, large enough to amortize the ring hop.
-const BATCH: usize = 2048;
+const BATCH: u64 = 2048;
 
 fn main() {
     // Server-specific flags peel off before the common ones parse.
@@ -75,33 +76,24 @@ fn main() {
             (StreamId(i), cfg)
         })
         .collect();
-    // Pre-chunk each tenant's events into owned batches at generation
-    // time: the submit loop then *moves* every batch into its shard ring
-    // (`submit_owned`) — no per-batch clone, no per-event allocation on
-    // the timed path.
-    let mut batches: Vec<VecDeque<Vec<Event>>> = configs
+    // Record each tenant's workload once and carve it into segments at
+    // generation time: every submit on the timed path is then an `Arc`
+    // bump plus a byte range — no per-batch copy, no per-event allocation.
+    let traces: Vec<Arc<EncodedTrace>> = configs
         .iter()
-        .map(|(_, cfg)| {
-            let mut chunks: VecDeque<Vec<Event>> = VecDeque::new();
-            for event in SyntheticWorkload::new(cfg.workload.clone()).expect("workload params") {
-                match chunks.back_mut().filter(|b| b.len() < BATCH) {
-                    Some(batch) => batch.push(event),
-                    None => chunks.push_back({
-                        let mut b = Vec::with_capacity(BATCH);
-                        b.push(event);
-                        b
-                    }),
-                }
-            }
-            chunks
+        .map(|(_, cfg)| Arc::new(EncodedTrace::record(cfg.workload.clone()).expect("record")))
+        .collect();
+    let mut batches: Vec<VecDeque<TraceSegment>> = traces
+        .iter()
+        .map(|trace| {
+            EncodedTrace::segments(trace, BATCH)
+                .expect("segment tiling")
+                .into()
         })
         .collect();
-    // Stream 0's full event list, kept for the dedicated fidelity run
-    // (one flatten-copy outside the timed region).
-    let events0: Vec<Event> = batches[0].iter().flatten().copied().collect();
 
-    // Open every stream, then feed the fleet round-robin in ragged
-    // batches — the interleaving a real server would see.
+    // Open every stream, then feed the fleet round-robin in segments —
+    // the interleaving a real server would see.
     println!("running {streams} streams on {shards} shards...");
     let t0 = Instant::now();
     let mut server =
@@ -112,8 +104,8 @@ fn main() {
     loop {
         let mut any = false;
         for (i, (stream, _)) in configs.iter().enumerate() {
-            if let Some(batch) = batches[i].pop_front() {
-                server.submit_owned(*stream, batch).expect("submit");
+            if let Some(segment) = batches[i].pop_front() {
+                server.submit_segment(*stream, segment).expect("submit");
                 any = true;
             }
         }
@@ -137,7 +129,7 @@ fn main() {
     // Fidelity spot-check: stream 0 on the fleet vs a dedicated run.
     let (stream0, cfg0) = &configs[0];
     let dedicated = Simulation::builder(cfg0)
-        .events(&events0)
+        .trace(&traces[0])
         .run()
         .expect("dedicated run");
     let fleet0 = fleet.outcome(*stream0).expect("stream 0 outcome");

@@ -74,30 +74,24 @@
 
 use pgc_bench::CommonArgs;
 use pgc_core::policy::{fallback_victim, PolicyKind, SelectionPolicy};
-use pgc_core::{build_policy, build_policy_with, Collector};
+use pgc_core::{build_policy, Collector};
 use pgc_durable::{DurabilityConfig, ScratchDir};
 use pgc_odb::oracle::{self, OracleScratch};
 use pgc_odb::{BarrierEvent, BarrierObserver, Database};
 use pgc_server::{Server, ServerConfig, StreamId};
 use pgc_sim::{
-    drive_encoded, experiment, outcome_digest, recover, Experiment, Replayer, RunConfig,
-    RunOutcome, Shard, Simulation, TelemetryLevel,
+    experiment, outcome_digest, recover, Experiment, Replayer, RunConfig, RunOutcome, Shard,
+    Simulation, TelemetryLevel,
 };
 use pgc_telemetry::TelemetryObserver;
-use pgc_types::{Bytes, Parallelism, PartitionId};
-use pgc_workload::generator::GenStats;
-use pgc_workload::{EncodedTrace, Event, NodeId, SyntheticWorkload, TraceCache, TraceSegment};
+use pgc_types::{Parallelism, PartitionId};
+use pgc_workload::{
+    EncodedTrace, Event, EventBlock, SyntheticWorkload, TraceCache, TraceSegment, BLOCK_EVENTS,
+};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Paper-config `MostGarbage` events/sec recorded before the barrier event
-/// bus landed (the dense-ID PR's `BENCH_hotpath.json`). The bus adds an
-/// enum-dispatch hop to every mutation, so this is the yardstick the
-/// `bus_overhead` section measures against: staying within 10% means the
-/// typed event stream is effectively free on the hot path.
-const PRE_BUS_PAPER_MOSTGARBAGE_EPS: f64 = 4_990_198.0;
 
 /// Shared-trace sweep speedup recorded when the engine landed: the full
 /// 11-policy × 3-seed paper-config sweep on the engine (record each seed
@@ -108,13 +102,6 @@ const PRE_BUS_PAPER_MOSTGARBAGE_EPS: f64 = 4_990_198.0;
 /// conservative end, and the gate fails when a full-scale run measures
 /// less than 90% of it.
 const RECORDED_SWEEP_SPEEDUP: f64 = 1.5;
-
-/// Paper-config `UpdatedPointer` events/sec recorded immediately before the
-/// derive layer landed, when the policy still hand-maintained its private
-/// overwrite scoreboard (best-of-3, this harness's replay loop). Reported
-/// in `BENCH_policy.json` for context only; the `policy_engine` gate binds
-/// to the in-process hand-rolled replay.
-const PRE_DERIVE_PAPER_UPDATEDPOINTER_EPS: f64 = 11_391_478.4;
 
 /// Required single-run speedup of the intra-run parallel pipeline
 /// (decode-ahead thread + work-stealing parallel oracle) over the
@@ -151,32 +138,6 @@ const SERVER_STREAMS: usize = 8;
 /// Paired passes per shard count in the server sweep (best-of, with the
 /// visit order rotated across passes like the other paired gates).
 const SERVER_PASSES: usize = 2;
-
-/// Required speedup of the zero-copy segment ingest path
-/// (`submit_segment`: an `Arc` bump plus a byte range per batch) over the
-/// clone path (an owned `Vec<Event>` allocated and copied per batch — the
-/// pre-ring data plane's cost shape). Measured on an ingest-dominated
-/// workload (visit-heavy streams whose stepping is cheap, so moving bytes
-/// is the bill); binds at full scale and only when the machine has more
-/// cores than the ingest fleet has shards, so the producer genuinely
-/// overlaps the workers instead of time-slicing one CPU. Anywhere else
-/// the artifact records an explicit skipped status; leg bit-identity
-/// still binds everywhere.
-const INGEST_SPEEDUP_GATE: f64 = 1.3;
-
-/// Client streams in the ingest comparison.
-const INGEST_STREAMS: usize = 4;
-
-/// Shards the ingest fleet runs on (small on purpose: the gate is about
-/// the submit path, not fleet scaling).
-const INGEST_SHARDS: usize = 2;
-
-/// Paired passes per ingest leg (best-of, order alternated).
-const INGEST_PASSES: usize = 3;
-
-/// Visit events per ingest stream at full scale (scaled linearly by
-/// `--scale`).
-const INGEST_EVENTS_FULL: usize = 2_000_000;
 
 /// The pre-derive `UpdatedPointer`: the hand-rolled private scoreboard the
 /// derive layer replaced — a bare counter vector bumped on overwrites and
@@ -296,31 +257,13 @@ fn replayer_for(cfg: &RunConfig, policy: Box<dyn SelectionPolicy>) -> Replayer {
     Replayer::new(db, collector)
 }
 
-/// Like [`replayer_for`], but builds the collector — and the policy, when
-/// it owns parallelism-aware kernels — in the given intra-run execution
-/// mode.
-fn mode_replayer(cfg: &RunConfig, parallelism: Parallelism) -> Replayer {
-    let db = Database::new(cfg.db.clone()).expect("db config");
-    let policy = build_policy_with(
-        cfg.policy,
-        cfg.policy_seed(),
-        cfg.db.max_weight,
-        parallelism,
-    );
-    let collector = Collector::with_trigger(policy, cfg.effective_trigger())
-        .with_batch(cfg.collect_batch)
-        .with_parallelism(parallelism);
-    Replayer::new(db, collector)
-}
-
 /// Replays `events` under `policy`, returning the timed row and totals
 /// (events applied + collections, used for cross-checking runs).
 ///
 /// Best-of-3: each pass rebuilds the replayer from scratch and the fastest
 /// wall time wins — the max-throughput estimator sheds scheduler noise that
-/// a single ~100 ms sample cannot (and that would flap the `bus_overhead`
-/// within-10% gate). Repeats double as a determinism check: every pass must
-/// apply the same events and perform the same collections.
+/// a single ~100 ms sample cannot. Repeats double as a determinism check:
+/// every pass must apply the same events and perform the same collections.
 fn timed_replay(
     config: &'static str,
     cfg: &RunConfig,
@@ -457,29 +400,6 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// The pre-change baseline recorded by `perf_baseline` (see the
-/// `bench-baseline` recipe in the justfile), if one has been captured.
-struct RecordedBaseline {
-    raw: String,
-    paper_mostgarbage_eps: f64,
-}
-
-fn read_recorded_baseline() -> Option<RecordedBaseline> {
-    let raw = std::fs::read_to_string("BENCH_baseline.json").ok()?;
-    let key = "\"paper_mostgarbage_events_per_sec\":";
-    let rest = &raw[raw.find(key)? + key.len()..];
-    let num: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    let paper_mostgarbage_eps = num.parse().ok()?;
-    Some(RecordedBaseline {
-        raw: raw.trim_end().to_string(),
-        paper_mostgarbage_eps,
-    })
-}
-
 fn main() {
     let args = CommonArgs::parse();
     let mut rows: Vec<ReplayRow> = Vec::new();
@@ -519,7 +439,7 @@ fn main() {
     rows.push(row);
 
     // --- Paper configuration: the MostGarbage hot path, dense vs the
-    // recorded reference baseline, plus one implementable policy for
+    // in-process reference baseline, plus one implementable policy for
     // context. `--scale` shrinks the allocation target for quick runs. ---
     println!("replaying paper configuration (seed 1)...");
     let mut paper = RunConfig::paper(PolicyKind::MostGarbage, 1);
@@ -568,31 +488,11 @@ fn main() {
         .map(|(_, v)| *v)
         .unwrap_or(f64::INFINITY);
 
-    // The speedup headline compares against the recorded pre-change run
-    // (old object table AND old oracle) when one exists; the in-process
-    // reference-oracle replay otherwise (which understates the win — it
-    // still enjoys the slab object table on every event).
-    let recorded = read_recorded_baseline();
-    let (baseline_kind, baseline_paper_eps) = match &recorded {
-        Some(b) => ("pre-change run (perf_baseline)", b.paper_mostgarbage_eps),
-        None => ("reference-oracle replay", reference_paper_eps),
-    };
-    let replay_speedup = dense_paper_eps / baseline_paper_eps.max(1e-9);
-    println!("  MostGarbage paper speedup: {replay_speedup:.2}x vs {baseline_kind}");
-
-    // --- Event-bus overhead vs the recorded pre-bus run. Only meaningful
-    // at full scale: a shrunk workload replays a different event mix. ---
-    let bus_ratio = dense_paper_eps / PRE_BUS_PAPER_MOSTGARBAGE_EPS;
-    let bus_within_10pct = bus_ratio >= 0.90;
-    println!(
-        "  event-bus overhead: {:.1}% of pre-bus throughput ({})",
-        bus_ratio * 100.0,
-        if bus_within_10pct {
-            "within 10%"
-        } else {
-            "REGRESSION beyond 10%"
-        }
-    );
+    // The speedup headline compares against the in-process reference-oracle
+    // replay (which understates the dense win — it still enjoys the slab
+    // object table on every event).
+    let replay_speedup = dense_paper_eps / reference_paper_eps.max(1e-9);
+    println!("  MostGarbage paper speedup: {replay_speedup:.2}x vs reference-oracle replay");
 
     // --- Policy engine: derived-state selection vs the hand-rolled
     // scoreboard it replaced. `UpdatedPointer` on the paper config is the
@@ -600,9 +500,8 @@ fn main() {
     // barrier-counter state). Paired best-of-N passes — each pass times
     // the derive-backed policy and the reproduced pre-derive scoreboard
     // back-to-back, order alternating — and the best within-pass ratio is
-    // gated at ≥ 95%, binding at full scale. The recorded pre-derive
-    // constant rides along in the JSON for cross-run context. Both legs
-    // must pick identical victims at any scale. ---
+    // gated at ≥ 95%, binding at full scale. Both legs must pick identical
+    // victims at any scale. ---
     println!("measuring the derive-layer policy engine (UpdatedPointer paper replay)...");
     const POLICY_PASSES: usize = 5;
     let mut derive_secs = f64::INFINITY;
@@ -955,11 +854,13 @@ fn main() {
     // --- Intra-run parallel hot path: one encoded paper trace replayed
     // three ways. Leg 0 is the pre-dense execution model — decode one
     // event at a time, apply it, answer every trigger with the hash-set
-    // reference oracle. Leg 1 is the batched serial block loop (SoA decode
-    // into a reused `EventBlock`, dense oracle). Leg 2 is the full
-    // pipeline: a decode-ahead thread keeps blocks in flight while the
-    // applier drains them, and every trigger runs the work-stealing
-    // parallel oracle at `--intra-threads` workers. Paired best-of-N
+    // reference oracle. Leg 1 is a `Simulation` replay of the trace in
+    // `Serial` mode: the batched block loop (SoA decode into a reused
+    // `EventBlock`, dense oracle). Leg 2 is the same replay in
+    // `Deterministic(--intra-threads)` mode: a decode-ahead thread keeps
+    // blocks in flight while the applier drains them, and every trigger
+    // runs the work-stealing parallel oracle. Legs 1 and 2 time the whole
+    // run, shard setup and `finish` included. Paired best-of-N
     // passes, order rotating; the within-pass ratios cancel background
     // load and the best ratio per gate wins. Victim sequences must match
     // across legs and passes at any scale (the `Deterministic(n)`
@@ -981,29 +882,34 @@ fn main() {
         let (mut r, mut s, mut p) = (0.0f64, 0.0f64, 0.0f64);
         let order = [[0usize, 1, 2], [1, 2, 0], [2, 0, 1]][pass % 3];
         for leg in order {
-            let mut replayer = match leg {
-                0 => replayer_for(&paper, Box::new(ReferenceMostGarbage)),
-                1 => mode_replayer(&paper, Parallelism::Serial),
-                _ => mode_replayer(&paper, intra),
-            };
-            let t0 = Instant::now();
-            if leg == 0 {
+            let (secs, applied, victims) = if leg == 0 {
+                let mut replayer = replayer_for(&paper, Box::new(ReferenceMostGarbage));
+                let t0 = Instant::now();
                 let mut cursor = paper_trace.cursor();
                 while let Some(event) = cursor.next_event().expect("decode paper trace") {
                     replayer.apply(&event).expect("pre-dense replay");
                 }
+                let secs = t0.elapsed().as_secs_f64();
+                let victims: Vec<PartitionId> =
+                    replayer.collections().iter().map(|c| c.victim).collect();
+                (secs, replayer.events_applied(), victims)
             } else {
                 let mode = if leg == 1 { Parallelism::Serial } else { intra };
-                drive_encoded(&mut replayer, &paper_trace, mode).expect("block replay");
-            }
-            let secs = t0.elapsed().as_secs_f64();
+                let cfg = paper.clone().with_parallelism(mode);
+                let t0 = Instant::now();
+                let out = Simulation::builder(&cfg)
+                    .trace(&paper_trace)
+                    .run()
+                    .expect("block replay");
+                let secs = t0.elapsed().as_secs_f64();
+                let victims: Vec<PartitionId> = out.collections.iter().map(|c| c.victim).collect();
+                (secs, out.totals.events, victims)
+            };
             assert_eq!(
-                replayer.events_applied(),
+                applied,
                 paper_trace.events(),
                 "every leg must apply the whole trace"
             );
-            let victims: Vec<PartitionId> =
-                replayer.collections().iter().map(|c| c.victim).collect();
             match &leg_victims[leg] {
                 Some(v) => assert_eq!(*v, victims, "parallel-leg replay determinism"),
                 None => leg_victims[leg] = Some(victims),
@@ -1118,31 +1024,30 @@ fn main() {
             (StreamId(i), cfg)
         })
         .collect();
-    let server_events: Vec<Vec<Event>> =
-        server_cfgs.iter().map(|(_, cfg)| events_for(cfg)).collect();
-    let total_server_events: u64 = server_events.iter().map(|e| e.len() as u64).sum();
+    let server_traces: Vec<Arc<EncodedTrace>> = server_cfgs
+        .iter()
+        .map(|(_, cfg)| {
+            Arc::new(EncodedTrace::record(cfg.workload.clone()).expect("record stream trace"))
+        })
+        .collect();
+    let total_server_events: u64 = server_traces.iter().map(|t| t.events()).sum();
     // Dedicated single-Simulation runs are the fidelity baseline; the
     // fleet must reproduce them bit for bit at every shard count.
     let dedicated: Vec<RunOutcome> = server_cfgs
         .iter()
-        .zip(&server_events)
-        .map(|((_, cfg), events)| {
+        .zip(&server_traces)
+        .map(|((_, cfg), trace)| {
             Simulation::builder(cfg)
-                .events(events)
+                .trace(trace)
                 .run()
                 .expect("dedicated baseline run")
         })
         .collect();
-    // Each stream's events encoded once and tiled into 4096-event
-    // segments: the sweep rides the zero-copy data plane, so every
-    // submitted batch is a refcount bump, not a clone.
-    let server_segments: Vec<Vec<TraceSegment>> = server_cfgs
+    // Each stream's trace tiled into 4096-event segments: every submitted
+    // batch is a refcount bump, not a clone.
+    let server_segments: Vec<Vec<TraceSegment>> = server_traces
         .iter()
-        .zip(&server_events)
-        .map(|((_, cfg), events)| {
-            let trace = Arc::new(EncodedTrace::from_events(cfg.workload.clone(), events));
-            EncodedTrace::segments(&trace, 4096).expect("segment tiling")
-        })
+        .map(|trace| EncodedTrace::segments(trace, 4096).expect("segment tiling"))
         .collect();
     let run_fleet = |shards: usize| {
         let t0 = Instant::now();
@@ -1229,128 +1134,6 @@ fn main() {
         eprintln!("REGRESSION: server scalability gate failed ({server_gate_status})");
     }
 
-    // --- Ingest path: clone vs zero-copy segment submission over an
-    // ingest-dominated workload. The streams are visit-heavy (a handful
-    // of roots, then pure visits), so stepping is cheap and the bill is
-    // moving events into the shards: the clone leg allocates and copies
-    // an owned `Vec<Event>` per batch (the pre-ring cost shape), the
-    // segment leg bumps a refcount on one shared encoded trace. Both legs
-    // must agree bit for bit; the speedup gate binds only where the
-    // producer has a core of its own. ---
-    let ingest_events_per_stream = (INGEST_EVENTS_FULL * args.scale_pct as usize / 100).max(10_000);
-    println!(
-        "ingest path: {INGEST_STREAMS} streams x {ingest_events_per_stream} visit-heavy events on {INGEST_SHARDS} shards..."
-    );
-    const INGEST_ROOTS: u64 = 64;
-    const INGEST_BATCH: usize = 4096;
-    let ingest_events: Vec<Event> = (0..INGEST_ROOTS)
-        .map(|i| Event::CreateRoot {
-            node: NodeId(i),
-            size: Bytes(128),
-            slots: 2,
-        })
-        .chain(
-            (0..ingest_events_per_stream as u64 - INGEST_ROOTS).map(|i| Event::Visit {
-                node: NodeId(i % INGEST_ROOTS),
-            }),
-        )
-        .collect();
-    let ingest_cfg = RunConfig::small();
-    let ingest_trace = Arc::new(EncodedTrace::from_events(
-        ingest_cfg.workload.clone(),
-        &ingest_events,
-    ));
-    let ingest_segments =
-        EncodedTrace::segments(&ingest_trace, INGEST_BATCH as u64).expect("segment tiling");
-    let ingest_streams: Vec<StreamId> = (0..INGEST_STREAMS as u64).map(StreamId).collect();
-    // One leg: feed every stream the same visit-heavy events round-robin
-    // through the chosen submit path, shut down, return time + outcomes.
-    let run_ingest = |zero_copy: bool| {
-        let t0 = Instant::now();
-        let mut server = Server::start(ServerConfig::new(INGEST_SHARDS));
-        for stream in &ingest_streams {
-            server
-                .open_stream(*stream, ingest_cfg.clone())
-                .expect("open stream");
-        }
-        for (at, segment) in ingest_segments.iter().enumerate() {
-            for stream in &ingest_streams {
-                if zero_copy {
-                    server
-                        .submit_segment(*stream, segment.clone())
-                        .expect("submit");
-                } else {
-                    let lo = at * INGEST_BATCH;
-                    let hi = (lo + INGEST_BATCH).min(ingest_events.len());
-                    server
-                        .submit_owned(*stream, ingest_events[lo..hi].to_vec())
-                        .expect("submit");
-                }
-            }
-        }
-        let fleet = server.shutdown().expect("fleet shutdown");
-        (t0.elapsed().as_secs_f64(), fleet.outcomes)
-    };
-    let total_ingest_events = (ingest_events.len() * INGEST_STREAMS) as u64;
-    let mut ingest_clone_secs = f64::INFINITY;
-    let mut ingest_segment_secs = f64::INFINITY;
-    let mut ingest_identical = true;
-    let mut ingest_baseline: Option<Vec<(StreamId, RunOutcome)>> = None;
-    for pass in 0..INGEST_PASSES {
-        // Alternate leg order across passes so neither leg always runs
-        // into a cold allocator or a warm cache.
-        for leg in 0..2 {
-            let zero_copy = (leg + pass) % 2 == 0;
-            let (secs, outcomes) = run_ingest(zero_copy);
-            if zero_copy {
-                ingest_segment_secs = ingest_segment_secs.min(secs);
-            } else {
-                ingest_clone_secs = ingest_clone_secs.min(secs);
-            }
-            match &ingest_baseline {
-                None => ingest_baseline = Some(outcomes),
-                Some(first) => {
-                    if first.iter().zip(&outcomes).any(|(a, b)| {
-                        a.1.totals != b.1.totals || a.1.collections != b.1.collections
-                    }) {
-                        ingest_identical = false;
-                        eprintln!("MISMATCH: ingest legs disagree on stream outcomes");
-                    }
-                }
-            }
-        }
-    }
-    let ingest_speedup = ingest_clone_secs / ingest_segment_secs.max(1e-9);
-    let ingest_gate_applies = args.scale_pct == 100 && cores > INGEST_SHARDS;
-    let ingest_gate_ok =
-        (!ingest_gate_applies || ingest_speedup >= INGEST_SPEEDUP_GATE) && ingest_identical;
-    let ingest_gate_status = if !ingest_identical {
-        "failed (leg outcome mismatch)"
-    } else if args.scale_pct != 100 {
-        "skipped (reduced scale)"
-    } else if cores <= INGEST_SHARDS {
-        "skipped (insufficient cores)"
-    } else if ingest_speedup >= INGEST_SPEEDUP_GATE {
-        "passed"
-    } else {
-        "failed"
-    };
-    println!(
-        "  clone path:   {ingest_clone_secs:>8.3}s  ({:.0} events/sec)",
-        total_ingest_events as f64 / ingest_clone_secs.max(1e-9)
-    );
-    println!(
-        "  segment path: {ingest_segment_secs:>8.3}s  ({:.0} events/sec)",
-        total_ingest_events as f64 / ingest_segment_secs.max(1e-9)
-    );
-    println!(
-        "  segment speedup: {ingest_speedup:.2}x vs clone (gate {INGEST_SPEEDUP_GATE:.1}x, status: {ingest_gate_status})"
-    );
-    println!("  legs bit-identical: {ingest_identical}");
-    if !ingest_gate_ok {
-        eprintln!("REGRESSION: ingest gate failed ({ingest_gate_status})");
-    }
-
     // --- Storage backend: the durable write path must stay off the hot
     // path. Three legs over the identical paper `MostGarbage` replay
     // through the shard pump: bare (durability off), the append-only
@@ -1361,17 +1144,34 @@ fn main() {
     // The gate holds `LogOnly` to >= 90% of bare throughput, binding at
     // full scale only (a shrunk workload changes the event/safepoint
     // balance); victim sequences must match across legs at any scale.
+    // Each leg steps the paper trace, decoded into blocks outside the
+    // timed window, so the window holds apply + log + finish, with
+    // safepoints checked once per block as every run takes them.
     // Afterwards one more persisted run times `recover()` — the replay
     // side of the durability story — and pins the recovered digest. ---
     println!("measuring the storage backend (bare / log-only / snapshot+log)...");
     const STORAGE_PASSES: usize = 5;
+    let paper_blocks: Vec<EventBlock> = {
+        let mut cursor = paper_trace.cursor();
+        let mut blocks = Vec::new();
+        let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
+        while cursor.next_block(&mut block).expect("decode paper trace") > 0 {
+            blocks.push(std::mem::replace(
+                &mut block,
+                EventBlock::with_capacity(BLOCK_EVENTS),
+            ));
+        }
+        blocks
+    };
     let storage_leg = |durability: DurabilityConfig| {
         let cfg = paper.clone().with_durability(durability);
         let mut shard = Shard::new(&cfg).expect("storage-leg shard");
         let t0 = Instant::now();
-        shard.step_batch(&paper_events).expect("storage-leg replay");
+        for block in &paper_blocks {
+            shard.step_block(block).expect("storage-leg replay");
+        }
         let out = shard
-            .finish(GenStats::default())
+            .finish(paper_trace.stats())
             .expect("storage-leg finish");
         let secs = t0.elapsed().as_secs_f64();
         let victims: Vec<PartitionId> = out.collections.iter().map(|c| c.victim).collect();
@@ -1478,28 +1278,8 @@ fn main() {
     let _ = writeln!(json, "  \"bit_identical_seeds_0_9\": {identical},");
     let _ = writeln!(
         json,
-        "  \"baseline_kind\": \"{}\",",
-        json_escape(baseline_kind)
-    );
-    let _ = writeln!(
-        json,
         "  \"mostgarbage_paper_speedup_vs_baseline\": {replay_speedup:.3},"
     );
-    if let Some(b) = &recorded {
-        let _ = writeln!(json, "  \"pre_change_baseline\": {},", b.raw);
-    }
-    let _ = writeln!(json, "  \"bus_overhead\": {{");
-    let _ = writeln!(
-        json,
-        "    \"pre_bus_paper_mostgarbage_events_per_sec\": {PRE_BUS_PAPER_MOSTGARBAGE_EPS:.1},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"paper_mostgarbage_events_per_sec\": {dense_paper_eps:.1},"
-    );
-    let _ = writeln!(json, "    \"ratio\": {bus_ratio:.3},");
-    let _ = writeln!(json, "    \"within_10pct\": {bus_within_10pct}");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"oracle\": {{");
     let _ = writeln!(json, "    \"dense_passes_per_sec\": {dense_pps:.1},");
     let _ = writeln!(json, "    \"reference_passes_per_sec\": {ref_pps:.1},");
@@ -1580,10 +1360,6 @@ fn main() {
     let _ = writeln!(pjson, "  \"config\": \"paper\",");
     let _ = writeln!(pjson, "  \"policy\": \"UpdatedPointer\",");
     let _ = writeln!(pjson, "  \"events\": {},", paper_events.len());
-    let _ = writeln!(
-        pjson,
-        "  \"recorded_pre_derive_events_per_sec\": {PRE_DERIVE_PAPER_UPDATEDPOINTER_EPS:.1},"
-    );
     let _ = writeln!(
         pjson,
         "  \"hand_rolled_events_per_sec\": {hand_rolled_eps:.1},"
@@ -1736,30 +1512,7 @@ fn main() {
     let _ = writeln!(sjson, "  \"gate_applies\": {server_gate_applies},");
     let _ = writeln!(sjson, "  \"gate_status\": \"{server_gate_status}\",");
     let _ = writeln!(sjson, "  \"gate_ok\": {server_gate_ok},");
-    let _ = writeln!(sjson, "  \"bit_identical\": {server_identical},");
-    let _ = writeln!(sjson, "  \"ingest\": {{");
-    let _ = writeln!(sjson, "    \"streams\": {INGEST_STREAMS},");
-    let _ = writeln!(sjson, "    \"shards\": {INGEST_SHARDS},");
-    let _ = writeln!(sjson, "    \"events\": {total_ingest_events},");
-    let _ = writeln!(sjson, "    \"clone_secs\": {ingest_clone_secs:.4},");
-    let _ = writeln!(sjson, "    \"segment_secs\": {ingest_segment_secs:.4},");
-    let _ = writeln!(
-        sjson,
-        "    \"clone_events_per_sec\": {:.1},",
-        total_ingest_events as f64 / ingest_clone_secs.max(1e-9)
-    );
-    let _ = writeln!(
-        sjson,
-        "    \"segment_events_per_sec\": {:.1},",
-        total_ingest_events as f64 / ingest_segment_secs.max(1e-9)
-    );
-    let _ = writeln!(sjson, "    \"segment_speedup\": {ingest_speedup:.3},");
-    let _ = writeln!(sjson, "    \"gate_speedup\": {INGEST_SPEEDUP_GATE:.3},");
-    let _ = writeln!(sjson, "    \"gate_applies\": {ingest_gate_applies},");
-    let _ = writeln!(sjson, "    \"gate_status\": \"{ingest_gate_status}\",");
-    let _ = writeln!(sjson, "    \"gate_ok\": {ingest_gate_ok},");
-    let _ = writeln!(sjson, "    \"bit_identical\": {ingest_identical}");
-    let _ = writeln!(sjson, "  }}");
+    let _ = writeln!(sjson, "  \"bit_identical\": {server_identical}");
     sjson.push_str("}\n");
     std::fs::write("BENCH_server.json", &sjson).expect("write server report");
     println!("wrote BENCH_server.json");
@@ -1833,7 +1586,6 @@ fn main() {
         || !telemetry_identical
         || !parallel_gate_ok
         || !server_gate_ok
-        || !ingest_gate_ok
         || !storage_gate_ok
     {
         std::process::exit(1);

@@ -19,7 +19,7 @@ use pgc_core::PolicyKind;
 use pgc_durable::DurabilityConfig;
 use pgc_sim::{outcome_digest, recover, RunConfig, RunOutcome, Shard, Simulation};
 use pgc_telemetry::TelemetryLevel;
-use pgc_workload::SyntheticWorkload;
+use pgc_workload::{EventBlock, SyntheticWorkload, BLOCK_EVENTS};
 use std::process::exit;
 
 fn usage() -> ! {
@@ -98,9 +98,14 @@ fn crash(args: &[String]) -> Result<(), String> {
     let budget = budget.min(events.len());
     let mut shard = Shard::new(&cfg).map_err(|e| e.to_string())?;
     shard.enable_telemetry(TelemetryLevel::Metrics);
-    shard
-        .step_batch(&events[..budget])
-        .map_err(|e| e.to_string())?;
+    let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
+    for chunk in events[..budget].chunks(BLOCK_EVENTS) {
+        block.clear();
+        for event in chunk {
+            block.push(event);
+        }
+        shard.step_block(&block).map_err(|e| e.to_string())?;
+    }
     println!(
         "crash: policy {} seed {} abandoned after {budget} of {} events",
         policy.name(),

@@ -163,8 +163,9 @@ fn replay(args: &[String]) -> Result<(), String> {
     let policy: PolicyKind = policy.parse()?;
     let events = load(path)?;
     let cfg = RunConfig::paper(policy, 0);
+    let trace = EncodedTrace::from_events(cfg.workload.clone(), &events);
     let out = Simulation::builder(&cfg)
-        .events(&events)
+        .trace(&trace)
         .run()
         .map_err(|e| e.to_string())?;
     let t = &out.totals;

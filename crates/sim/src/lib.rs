@@ -11,11 +11,11 @@
 //!   Tables 2–5) and [`metrics::TimeSeries`] (the sampled curves behind
 //!   Figures 4–5).
 //! * [`run`] — [`run::RunConfig`] + [`run::Simulation::builder`]: one
-//!   complete simulation from a parameter set, a shared encoded trace, or
-//!   a recorded event slice, with optional bus observers and telemetry.
+//!   complete simulation from a parameter set or a shared encoded trace,
+//!   with optional bus observers, telemetry and durability.
 //! * [`shard`] — [`shard::Shard`]: the self-contained unit a run drives —
 //!   one database + policy + scheduler + barrier bus + telemetry handle,
-//!   stepped by event batches. `Simulation` is its 1-shard special case;
+//!   stepped by decoded event blocks. `Simulation` is its 1-shard special case;
 //!   the multi-tenant `pgc-server` runtime hosts one per client stream.
 //! * [`durable`] — recovery-by-replay over a `pgc-durable` data
 //!   directory: [`durable::recover`] rebuilds the exact run from the
@@ -63,7 +63,7 @@ pub use durable::{outcome_digest, recover, RecoveredRun};
 pub use experiment::{default_threads, Comparison, Experiment, PolicyRow, RunTelemetry};
 pub use metrics::{RunTotals, SamplePoint, TimeSeries};
 pub use replay::Replayer;
-pub use run::{drive_encoded, RunConfig, RunOutcome, Simulation, SimulationBuilder};
+pub use run::{RunConfig, RunOutcome, Simulation, SimulationBuilder};
 pub use shadow::{
     agreement_table, regret_table, run_race, run_race_with_telemetry, RaceOutcome, RaceRecord,
     ShadowPick,

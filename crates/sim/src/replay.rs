@@ -146,14 +146,12 @@ impl Replayer {
 
     /// Applies events `start..end` of a decoded block.
     ///
-    /// The batched counterpart of [`Replayer::apply`]: the caller decodes a
-    /// run of events into the block's flat columns
-    /// ([`pgc_workload::TraceCursor::next_block`]) and this loop applies
-    /// them without touching the byte stream — per-event semantics are
-    /// exactly [`Replayer::apply`]'s, so block replay is bit-identical to
-    /// per-event replay by construction. The sub-range lets a sampling loop
-    /// stop mid-block at a measurement boundary.
-    pub fn apply_block(
+    /// The batched counterpart of [`Replayer::apply`] behind
+    /// [`crate::Shard::step_block`]: per-event semantics are exactly
+    /// [`Replayer::apply`]'s, so block replay is bit-identical to per-event
+    /// replay by construction. The sub-range lets a sampling loop stop
+    /// mid-block at a measurement boundary.
+    pub(crate) fn apply_block(
         &mut self,
         block: &pgc_workload::EventBlock,
         start: usize,

@@ -1,11 +1,12 @@
 //! One complete simulation run.
 //!
 //! [`Simulation::builder`] is the single entry point: it wires a
-//! [`RunConfig`] to an event source — the synthetic workload by default, a
-//! shared [`EncodedTrace`] via [`SimulationBuilder::trace`], or a recorded
-//! event slice via [`SimulationBuilder::events`] — and drives one
-//! [`Shard`] (database + collector + barrier bus + telemetry + sampling)
-//! through it. A `Simulation` run is exactly the 1-shard special case of
+//! [`RunConfig`] to an event source — the synthetic workload by default,
+//! or a shared [`EncodedTrace`] via [`SimulationBuilder::trace`] — and
+//! drives one [`Shard`] (database + collector + barrier bus + telemetry +
+//! sampling) through it, one [`EventBlock`] at a time. A caller holding a
+//! `Vec<Event>` encodes it once with [`EncodedTrace::from_events`] and
+//! replays that. A `Simulation` run is exactly the 1-shard special case of
 //! the sharded runtime: the multi-tenant server hosts one [`Shard`] per
 //! client stream and steps each through the same API, which is why
 //! per-stream server results are bit-identical to dedicated runs.
@@ -24,9 +25,7 @@ use pgc_odb::{BarrierObserver, CollectionOutcome, Database, DbStats};
 use pgc_telemetry::{TelemetryLevel, TelemetrySnapshot, TriggerReason};
 use pgc_types::{Bytes, DbConfig, Parallelism, PlacementPolicy, Result};
 use pgc_workload::generator::GenStats;
-use pgc_workload::{
-    EncodedTrace, Event, EventBlock, SyntheticWorkload, WorkloadParams, BLOCK_EVENTS,
-};
+use pgc_workload::{EncodedTrace, EventBlock, SyntheticWorkload, WorkloadParams, BLOCK_EVENTS};
 
 /// Everything needed to run one simulation.
 #[derive(Debug, Clone)]
@@ -328,7 +327,6 @@ impl Simulation {
             source: Source::Synthetic,
             observers: Vec::new(),
             telemetry: TelemetryLevel::Off,
-            parallelism: None,
             durability: None,
         }
     }
@@ -337,7 +335,6 @@ impl Simulation {
 enum Source<'a> {
     Synthetic,
     Encoded(&'a EncodedTrace),
-    Events(&'a [Event]),
 }
 
 /// A configured-but-not-yet-run simulation: pick an event source, attach
@@ -347,7 +344,6 @@ pub struct SimulationBuilder<'a> {
     source: Source<'a>,
     observers: Vec<Box<dyn BarrierObserver>>,
     telemetry: TelemetryLevel,
-    parallelism: Option<Parallelism>,
     durability: Option<DurabilityConfig>,
 }
 
@@ -362,15 +358,6 @@ impl<'a> SimulationBuilder<'a> {
     #[must_use]
     pub fn trace(mut self, trace: &'a EncodedTrace) -> Self {
         self.source = Source::Encoded(trace);
-        self
-    }
-
-    /// Replays a recorded event slice instead of generating the workload
-    /// (the configured workload parameters are ignored except for the
-    /// seed, which labels the run). Generator counters are zeroed.
-    #[must_use]
-    pub fn events(mut self, events: &'a [Event]) -> Self {
-        self.source = Source::Events(events);
         self
     }
 
@@ -394,15 +381,6 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Overrides the configuration's intra-run execution mode for this run.
-    /// `Deterministic(n)` is pinned bit-identical to `Serial`: the same
-    /// victims, totals, and telemetry, computed on `n` threads.
-    #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = Some(parallelism);
-        self
-    }
-
     /// Overrides the configuration's durable storage backend for this run
     /// (mode + data directory). Persistence is a bystander: the outcome is
     /// bit-identical to an in-memory run, and recoverable from the data
@@ -417,18 +395,12 @@ impl<'a> SimulationBuilder<'a> {
     /// the configured source into it, and finishes it.
     pub fn run(self) -> Result<RunOutcome> {
         let cfg_override;
-        let cfg = if self.parallelism.is_some() || self.durability.is_some() {
-            let mut cfg = self.cfg.clone();
-            if let Some(p) = self.parallelism {
-                cfg = cfg.with_parallelism(p);
+        let cfg = match self.durability {
+            Some(durability) => {
+                cfg_override = self.cfg.clone().with_durability(durability);
+                &cfg_override
             }
-            if let Some(d) = self.durability {
-                cfg = cfg.with_durability(d);
-            }
-            cfg_override = cfg;
-            &cfg_override
-        } else {
-            self.cfg
+            None => self.cfg,
         };
         let mut shard = Shard::new(cfg)?;
         // User observers register before the telemetry tap, so the bus
@@ -440,19 +412,26 @@ impl<'a> SimulationBuilder<'a> {
         shard.enable_telemetry(self.telemetry);
         let gen_stats = match self.source {
             Source::Synthetic => {
+                // Packed into the same full blocks `TraceCursor::next_block`
+                // cuts, so a live run and a replay of its recording step
+                // (and persist) identically.
                 let mut generator = SyntheticWorkload::new(cfg.workload.clone())?;
+                let mut block = EventBlock::with_capacity(BLOCK_EVENTS);
                 for event in generator.by_ref() {
-                    shard.step(&event)?;
+                    block.push(&event);
+                    if block.is_full() {
+                        shard.step_block(&block)?;
+                        block.clear();
+                    }
+                }
+                if !block.is_empty() {
+                    shard.step_block(&block)?;
                 }
                 generator.stats()
             }
             Source::Encoded(trace) => {
                 pipeline_blocks(trace, cfg.parallelism, |block| shard.step_block(block))?;
                 trace.stats()
-            }
-            Source::Events(events) => {
-                shard.step_batch(events)?;
-                GenStats::default()
             }
         };
         shard.finish(gen_stats)
@@ -523,22 +502,6 @@ fn pipeline_blocks(
         drop(free_tx);
         let decoded = decoder.join().expect("decode thread panicked");
         applied.and(decoded)
-    })
-}
-
-/// Drives `replayer` through `trace` using the batched struct-of-arrays
-/// decode path — pipelined on a decode-ahead thread when `parallelism` is
-/// [`Parallelism::Deterministic`] with two or more workers.
-///
-/// This is the hot-path entry the perf harness times; [`Simulation`] runs
-/// the same loop internally for encoded sources, plus sampling.
-pub fn drive_encoded(
-    replayer: &mut Replayer,
-    trace: &EncodedTrace,
-    parallelism: Parallelism,
-) -> Result<()> {
-    pipeline_blocks(trace, parallelism, |block| {
-        replayer.apply_block(block, 0, block.len())
     })
 }
 
@@ -632,11 +595,14 @@ mod tests {
     fn trace_replay_matches_live_run() {
         let cfg = RunConfig::small().with_seed(6);
         let live = run(&cfg);
-        let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
+        let events: Vec<pgc_workload::Event> = SyntheticWorkload::new(cfg.workload.clone())
             .unwrap()
             .collect();
-        let replayed = Simulation::builder(&cfg).events(&events).run().unwrap();
+        let trace = EncodedTrace::from_events(cfg.workload.clone(), &events);
+        let replayed = Simulation::builder(&cfg).trace(&trace).run().unwrap();
         assert_eq!(live.totals, replayed.totals);
+        assert_eq!(live.collections, replayed.collections);
+        assert_eq!(replayed.gen_stats, GenStats::default(), "unlabelled events");
     }
 
     #[test]

@@ -5,23 +5,27 @@
 //! a [`pgc_odb::Database`], the driving policy and trigger scheduler
 //! inside a [`pgc_core::Collector`], the barrier event bus with its
 //! bystander observers, an optional telemetry tap, and time-series
-//! sampling state — behind a stepping API: feed it events one at a time
-//! ([`Shard::step`]), as recorded batches ([`Shard::step_batch`]), or as
-//! decoded SoA blocks ([`Shard::step_block`]), then [`Shard::finish`] it
-//! into a [`RunOutcome`].
+//! sampling state — behind one stepping entry point: feed it decoded SoA
+//! blocks ([`Shard::step_block`]), then [`Shard::finish`] it into a
+//! [`RunOutcome`].
 //!
-//! `Simulation::builder(cfg).run()` is now exactly a 1-shard special case:
-//! it builds one `Shard`, streams the configured event source into it, and
-//! finishes it. A sharded runtime (the `pgc-server` crate) instead hosts
-//! one `Shard` per client session across N worker threads — each shard
-//! owns its partitions, policy, scheduler, and telemetry, so sessions
-//! never share mutable state and per-stream results are bit-identical to
-//! a dedicated single-`Simulation` run at any shard count. Server workers
-//! lean on [`Shard::step_block`]'s invisibility guarantee: batches
-//! arriving over the ring inboxes are coalesced into full SoA blocks
-//! (decoded straight from shared encoded traces) without changing any
-//! result, because block boundaries — including sample boundaries split
-//! mid-block — replay exactly like per-event stepping.
+//! `Simulation::builder(cfg).run()` is exactly a 1-shard special case: it
+//! builds one `Shard`, streams the configured event source into it block
+//! by block, and finishes it. A sharded runtime (the `pgc-server` crate)
+//! instead hosts one `Shard` per client session across N worker threads —
+//! each shard owns its partitions, policy, scheduler, and telemetry, so
+//! sessions never share mutable state and per-stream results are
+//! bit-identical to a dedicated single-`Simulation` run at any shard
+//! count. Server workers lean on the fact that block boundaries are
+//! invisible to the outcome: segments arriving over the ring inboxes are
+//! decoded into blocks wherever the segments happen to end, without
+//! changing any result, because block boundaries — including sample
+//! boundaries split mid-block — replay exactly like one event at a time.
+//! Block boundaries are visible only to durability, which checks for a
+//! safepoint once per block. The synthetic source and a recorded trace
+//! cut the same stream at the same [`pgc_workload::BLOCK_EVENTS`]
+//! boundaries, so a live run and a replay of its recording write
+//! byte-identical data directories.
 
 use crate::metrics::{RunTotals, SamplePoint, TimeSeries};
 use crate::replay::Replayer;
@@ -48,7 +52,7 @@ struct DurableState {
 }
 
 /// One database + policy + scheduler + barrier bus + telemetry handle,
-/// stepped by event batches.
+/// stepped by decoded event blocks.
 pub struct Shard {
     cfg: RunConfig,
     replayer: Replayer,
@@ -139,31 +143,13 @@ impl Shard {
         self.replayer.oid_of(node)
     }
 
-    /// Steps one event: write-ahead logs it (when durability is on),
-    /// charges its I/O, pumps the barrier bus, collects when the trigger
-    /// fires, takes a time-series sample at each configured boundary, and
-    /// drives a durability safepoint when a collection completed.
-    pub fn step(&mut self, event: &Event) -> Result<()> {
-        self.log_event(event)?;
-        self.replayer.apply(event)?;
-        self.maybe_sample();
-        self.maybe_safepoint()
-    }
-
-    /// Steps a batch of events (a session inbox message, a recorded
-    /// slice). Semantics are exactly [`Shard::step`] in order.
-    pub fn step_batch(&mut self, events: &[Event]) -> Result<()> {
-        for event in events {
-            self.step(event)?;
-        }
-        Ok(())
-    }
-
-    /// Steps one decoded SoA block, stopping at each sample boundary
-    /// inside it. Bit-identical to stepping the block's events one by one.
-    /// Durability safepoints land at block granularity here (the whole
-    /// block is logged ahead, then one safepoint check follows it) — the
-    /// log stays a faithful write-ahead record either way.
+    /// Steps one decoded SoA block: write-ahead logs its events (when
+    /// durability is on), applies them — charging I/O, pumping the barrier
+    /// bus, collecting when the trigger fires — stopping at each sample
+    /// boundary inside the block, then drives a durability safepoint when
+    /// a collection completed. The outcome does not depend on where the
+    /// block boundaries fall; the safepoint cadence does, one check per
+    /// block.
     pub fn step_block(&mut self, block: &EventBlock) -> Result<()> {
         if self.durable.is_some() {
             for event in block.iter() {
@@ -317,19 +303,33 @@ fn take_sample(series: &mut TimeSeries, replayer: &Replayer, scratch: &mut Oracl
 mod tests {
     use super::*;
     use crate::run::Simulation;
-    use pgc_workload::SyntheticWorkload;
+    use pgc_workload::{EncodedTrace, SyntheticWorkload};
+
+    /// Steps `events` into `shard` in blocks of `size` events.
+    fn step_in_blocks(shard: &mut Shard, events: &[Event], size: usize) {
+        let mut block = EventBlock::with_capacity(size);
+        for chunk in events.chunks(size) {
+            block.clear();
+            for event in chunk {
+                block.push(event);
+            }
+            shard.step_block(&block).unwrap();
+        }
+    }
 
     #[test]
     fn stepping_a_shard_matches_a_simulation_run() {
         let cfg = RunConfig::small().with_seed(31).with_sampling(5_000);
         let via_sim = Simulation::builder(&cfg).run().unwrap();
 
-        let mut generator = SyntheticWorkload::new(cfg.workload.clone()).unwrap();
+        let trace = EncodedTrace::record(cfg.workload.clone()).unwrap();
         let mut shard = Shard::new(&cfg).unwrap();
-        for event in generator.by_ref() {
-            shard.step(&event).unwrap();
+        let mut cursor = trace.cursor();
+        let mut block = EventBlock::new();
+        while cursor.next_block(&mut block).unwrap() > 0 {
+            shard.step_block(&block).unwrap();
         }
-        let via_shard = shard.finish(generator.stats()).unwrap();
+        let via_shard = shard.finish(trace.stats()).unwrap();
 
         assert_eq!(via_sim.totals, via_shard.totals);
         assert_eq!(via_sim.collections, via_shard.collections);
@@ -340,24 +340,23 @@ mod tests {
 
     #[test]
     fn batch_boundaries_do_not_perturb_a_shard() {
-        let cfg = RunConfig::small().with_seed(32);
+        let cfg = RunConfig::small().with_seed(32).with_sampling(1_000);
         let events: Vec<Event> = SyntheticWorkload::new(cfg.workload.clone())
             .unwrap()
             .collect();
 
         let mut whole = Shard::new(&cfg).unwrap();
-        whole.step_batch(&events).unwrap();
+        step_in_blocks(&mut whole, &events, pgc_workload::BLOCK_EVENTS);
         let whole = whole.finish(GenStats::default()).unwrap();
 
         let mut chunked = Shard::new(&cfg).unwrap();
-        // Ragged batch sizes: the session layer never sees tidy chunks.
-        for chunk in events.chunks(97) {
-            chunked.step_batch(chunk).unwrap();
-        }
+        // Ragged block sizes: the session layer never sees tidy chunks.
+        step_in_blocks(&mut chunked, &events, 97);
         let chunked = chunked.finish(GenStats::default()).unwrap();
 
         assert_eq!(whole.totals, chunked.totals);
         assert_eq!(whole.collections, chunked.collections);
+        assert_eq!(whole.series.points(), chunked.series.points());
     }
 
     #[test]
@@ -368,7 +367,7 @@ mod tests {
             .collect();
         let mut shard = Shard::new(&cfg).unwrap();
         shard.enable_telemetry(pgc_telemetry::TelemetryLevel::Full);
-        shard.step_batch(&events).unwrap();
+        step_in_blocks(&mut shard, &events, pgc_workload::BLOCK_EVENTS);
         let out = shard.finish(GenStats::default()).unwrap();
         let snap = out.telemetry.expect("telemetry requested");
         assert_eq!(snap.counters.activations, out.totals.collections);

@@ -17,8 +17,7 @@ use pgc_workload::EncodedTrace;
 const MODES: [Parallelism; 2] = [Parallelism::Deterministic(1), Parallelism::Deterministic(4)];
 
 fn run(cfg: &RunConfig, mode: Parallelism) -> RunOutcome {
-    Simulation::builder(cfg)
-        .parallelism(mode)
+    Simulation::builder(&cfg.clone().with_parallelism(mode))
         .run()
         .expect("run")
 }
@@ -85,9 +84,8 @@ fn encoded_replay_is_mode_invariant() {
             let live = run(&cfg, Parallelism::Serial);
             assert_eq!(base.totals, live.totals, "encoded vs live baseline");
             for mode in MODES {
-                let got = Simulation::builder(&cfg)
+                let got = Simulation::builder(&cfg.clone().with_parallelism(mode))
                     .trace(&trace)
-                    .parallelism(mode)
                     .run()
                     .expect("parallel encoded run");
                 assert_eq!(base.totals, got.totals, "{policy:?} seed {seed} {mode}");
@@ -116,9 +114,8 @@ fn sampled_series_is_mode_invariant_on_the_encoded_source() {
         .run()
         .expect("serial sampled run");
     for mode in MODES {
-        let got = Simulation::builder(&cfg)
+        let got = Simulation::builder(&cfg.clone().with_parallelism(mode))
             .trace(&trace)
-            .parallelism(mode)
             .run()
             .expect("parallel sampled run");
         assert_eq!(base.series.points(), got.series.points(), "{mode}");
@@ -156,9 +153,8 @@ fn telemetry_score_bits_are_mode_invariant() {
     let base_snap = base.telemetry.as_ref().expect("snapshot");
     assert!(!base_snap.records.is_empty());
     for mode in MODES {
-        let got = Simulation::builder(&cfg)
+        let got = Simulation::builder(&cfg.clone().with_parallelism(mode))
             .telemetry(pgc_sim::TelemetryLevel::Full)
-            .parallelism(mode)
             .run()
             .expect("parallel tapped run");
         let snap = got.telemetry.as_ref().expect("snapshot");

@@ -383,11 +383,10 @@ impl TraceSegment {
         }
     }
 
-    /// Encodes an event slice into a fresh single-segment trace — the
-    /// compatibility bridge for callers still holding decoded events. Pays
-    /// one encode pass (~12 bytes/event retained, versus
-    /// `size_of::<Event>()` for a cloned `Vec`); after that the segment
-    /// ships and replays like any other.
+    /// Encodes a hand-built event slice into a fresh single-segment trace,
+    /// the way to ship events that were never recorded into a shared
+    /// trace. Pays one encode pass (~12 bytes/event retained); after that
+    /// the segment ships and replays like any other.
     pub fn encode(events: &[Event]) -> Self {
         Self::whole(Arc::new(EncodedTrace::from_events(
             WorkloadParams::default(),

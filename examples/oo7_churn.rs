@@ -14,7 +14,7 @@
 use pgc::core::PolicyKind;
 use pgc::odb::oracle;
 use pgc::sim::{RunConfig, Simulation};
-use pgc::workload::{AssemblyParams, AssemblyWorkload, Event};
+use pgc::workload::{AssemblyParams, AssemblyWorkload, EncodedTrace, Event, WorkloadParams};
 
 fn main() {
     let params = AssemblyParams::default()
@@ -31,7 +31,9 @@ fn main() {
         events.len()
     );
 
-    // Drive the paper's best policy and the oracle over the same trace.
+    // Drive the paper's best policy and the oracle over the same trace,
+    // encoded once.
+    let trace = EncodedTrace::from_events(WorkloadParams::default().with_seed(7), &events);
     // This workload mutates pointers rarely but allocates constantly
     // (whole-composite replacement), so the paper's overwrite trigger
     // underfires; the allocation-paced trigger extension fits it.
@@ -40,7 +42,7 @@ fn main() {
             pgc::types::Bytes::from_kib(256),
         ));
         let out = Simulation::builder(&cfg)
-            .events(&events)
+            .trace(&trace)
             .run()
             .expect("replay");
         println!(

@@ -24,31 +24,11 @@ fmt:
 # All gates in one go.
 check: fmt-check clippy verify
 
-# Regenerate BENCH_hotpath.json and BENCH_experiment.json (perf-regression
-# numbers, including the shared-trace sweep gate). Embeds the recorded
-# pre-change baseline when BENCH_baseline.json is present.
+# The perf-regression harness: writes BENCH_hotpath, BENCH_experiment,
+# BENCH_policy, BENCH_telemetry, BENCH_parallel, BENCH_server and
+# BENCH_storage (.json) and exits nonzero when a gate fails.
 bench-report:
     cargo run --release -p pgc-bench --bin perf_report
-
-# Measure the shared-trace experiment engine: the full 11-policy
-# paper-config sweep, engine vs per-job generation, written to
-# BENCH_experiment.json (exits nonzero if the speedup gate regresses).
-sweep:
-    cargo run --release -p pgc-bench --bin perf_report
-
-# Record the pre-change baseline (BENCH_baseline.json): build the shared
-# measurement binary against the last pre-dense-structures commit in a
-# scratch worktree, with only the offline-RNG change patched in so both
-# trees replay identical event streams.
-bench-baseline ref="5e4c50c":
-    git worktree add --force target/seed-baseline {{ref}}
-    cp Cargo.lock Cargo.toml target/seed-baseline/
-    for c in bench buffer core odb sim storage types workload; do cp crates/$c/Cargo.toml target/seed-baseline/crates/$c/Cargo.toml; done
-    cp crates/types/src/rng.rs target/seed-baseline/crates/types/src/rng.rs
-    cp crates/bench/src/bin/perf_baseline.rs target/seed-baseline/crates/bench/src/bin/perf_baseline.rs
-    cd target/seed-baseline && cargo build --release --offline -p pgc-bench --bin perf_baseline
-    ./target/seed-baseline/target/release/perf_baseline
-    git worktree remove --force target/seed-baseline
 
 # Tap the headline comparison for telemetry: writes one JSONL line per
 # collector activation (schema pgc-telemetry/v1) to telemetry.jsonl and
@@ -79,18 +59,6 @@ parallel threads="4":
 serve shards="4" streams="8" scale="25":
     cargo run --release -p pgc-bench --bin client_server -- \
         --shards {{shards}} --streams {{streams}} --scale {{scale}}
-
-# Shard-count invariance: the 1/2/4-shard equivalence suite plus the
-# server_scalability section of the perf report (BENCH_server.json).
-shards:
-    cargo test -q --test shard_equivalence
-    cargo run --release -p pgc-bench --bin perf_report
-
-# Zero-copy ingest: the submit-path equivalence suite plus the ingest
-# section of the perf report (clone vs segment legs, BENCH_server.json).
-ingest:
-    cargo test -q --test shard_equivalence
-    cargo run --release -p pgc-bench --bin perf_report
 
 # Crash-recovery smoke: a clean durable run recovered with a pinned
 # digest, then a mid-run kill (no final snapshot, buffered log tail

@@ -6,12 +6,21 @@ use pgc::core::{PolicyKind, Trigger};
 use pgc::odb::oracle;
 use pgc::sim::{RunConfig, Simulation};
 use pgc::types::Bytes;
-use pgc::workload::{AssemblyParams, AssemblyWorkload, Event};
+use pgc::workload::{AssemblyParams, AssemblyWorkload, EncodedTrace, Event};
 
 fn small_events(seed: u64) -> Vec<Event> {
     AssemblyWorkload::new(AssemblyParams::small().with_seed(seed))
         .expect("valid params")
         .collect()
+}
+
+/// Replays a hand-built event stream under `cfg`, encoded once.
+fn replay(cfg: &RunConfig, events: &[Event]) -> pgc::sim::RunOutcome {
+    let trace = EncodedTrace::from_events(cfg.workload.clone(), events);
+    Simulation::builder(cfg)
+        .trace(&trace)
+        .run()
+        .expect("replay")
 }
 
 fn small_cfg(policy: PolicyKind) -> RunConfig {
@@ -25,10 +34,7 @@ fn small_cfg(policy: PolicyKind) -> RunConfig {
 fn assembly_trace_replays_under_every_policy() {
     let events = small_events(1);
     for policy in PolicyKind::ALL {
-        let out = Simulation::builder(&small_cfg(policy))
-            .events(&events)
-            .run()
-            .expect("replay");
+        let out = replay(&small_cfg(policy), &events);
         assert_eq!(out.totals.events, events.len() as u64, "{policy}");
         if policy != PolicyKind::NoCollection {
             assert!(out.totals.collections > 0, "{policy} must collect");
@@ -41,10 +47,7 @@ fn replacements_generate_cyclic_garbage() {
     // Without any collection, the orphaned composites (rings + documents)
     // pile up as garbage the oracle can see.
     let events = small_events(2);
-    let out = Simulation::builder(&small_cfg(PolicyKind::NoCollection))
-        .events(&events)
-        .run()
-        .expect("replay");
+    let out = replay(&small_cfg(PolicyKind::NoCollection), &events);
     let params = AssemblyParams::small();
     let composite_bytes =
         (params.atomics_per_composite as u64 + 1) * params.small_size + params.document_size;
@@ -74,11 +77,7 @@ fn updated_pointer_beats_the_greedy_oracle_on_cyclic_churn() {
     let run = |policy| {
         let cfg = RunConfig::paper(policy, 3)
             .with_trigger(Trigger::AllocationBytes(Bytes::from_kib(256)));
-        Simulation::builder(&cfg)
-            .events(&events)
-            .run()
-            .expect("replay")
-            .totals
+        replay(&cfg, &events).totals
     };
     let updated = run(PolicyKind::UpdatedPointer);
     let oracle_policy = run(PolicyKind::MostGarbage);
@@ -118,13 +117,7 @@ fn assembly_trace_round_trips_through_codec() {
     let back = pgc::workload::read_trace(buf.as_slice()).expect("decode");
     assert_eq!(back, events);
     // And the replay of the decoded trace matches the original.
-    let a = Simulation::builder(&small_cfg(PolicyKind::Random))
-        .events(&events)
-        .run()
-        .expect("a");
-    let b = Simulation::builder(&small_cfg(PolicyKind::Random))
-        .events(&back)
-        .run()
-        .expect("b");
+    let a = replay(&small_cfg(PolicyKind::Random), &events);
+    let b = replay(&small_cfg(PolicyKind::Random), &back);
     assert_eq!(a.totals, b.totals);
 }

@@ -568,8 +568,9 @@ fn any_seeded_workload_replays_cleanly() {
             .expect("params")
             .collect();
         let cfg = pgc::sim::RunConfig::small();
+        let trace = pgc::workload::EncodedTrace::from_events(cfg.workload.clone(), &events);
         let out = pgc::sim::Simulation::builder(&cfg)
-            .events(&events)
+            .trace(&trace)
             .run()
             .expect("replay");
         assert_eq!(out.totals.events, events.len() as u64, "seed {seed}");

@@ -13,7 +13,7 @@
 use pgc::durable::{read_log, ScratchDir};
 use pgc::prelude::*;
 use pgc::workload::generator::GenStats;
-use pgc::workload::SyntheticWorkload;
+use pgc::workload::{Event, EventBlock, SyntheticWorkload};
 use std::fs;
 
 /// Policies covering the paper's winner, the oracle, and the baseline —
@@ -119,14 +119,21 @@ fn newest_log_segment(dir: &ScratchDir) -> std::path::PathBuf {
     log_segments(dir).pop().expect("at least one log segment")
 }
 
-/// Replays `dir`'s surviving log prefix through a bare [`Shard`] — the
-/// ground truth a torn-tail recovery must match.
+/// A fresh, unpersisted run of exactly `events` under `cfg`.
+fn replay_events(cfg: &RunConfig, level: TelemetryLevel, events: &[Event]) -> RunOutcome {
+    let trace = EncodedTrace::from_events(cfg.workload.clone(), events);
+    Simulation::builder(cfg)
+        .telemetry(level)
+        .trace(&trace)
+        .run()
+        .expect("replay prefix")
+}
+
+/// Replays `dir`'s surviving log prefix in a fresh run — the ground truth
+/// a torn-tail recovery must match.
 fn replay_prefix_baseline(dir: &ScratchDir, recovered: &RecoveredRun) -> RunOutcome {
     let log = read_log(dir.path()).expect("read log");
-    let mut shard = Shard::new(&recovered.cfg).expect("shard");
-    shard.enable_telemetry(recovered.telemetry_level);
-    shard.step_batch(&log.events).expect("replay prefix");
-    shard.finish(GenStats::default()).expect("finish")
+    replay_events(&recovered.cfg, recovered.telemetry_level, &log.events)
 }
 
 #[test]
@@ -206,10 +213,10 @@ fn server_streams_persist_and_recover_independently() {
         handles.push(server.open_stream(*stream, cfg.clone()).expect("open"));
     }
     for ((_, cfg), handle) in configs.iter().zip(&handles) {
-        let events: Vec<_> = SyntheticWorkload::new(cfg.workload.clone())
-            .expect("workload")
-            .collect();
-        server.submit_owned(handle, events).expect("submit");
+        let trace = EncodedTrace::record(cfg.workload.clone()).expect("record");
+        server
+            .submit_segment(handle, TraceSegment::whole(std::sync::Arc::new(trace)))
+            .expect("submit");
     }
     let fleet = server.shutdown().expect("shutdown");
 
@@ -229,6 +236,85 @@ fn server_streams_persist_and_recover_independently() {
             "stream {}",
             stream.0
         );
+    }
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn data_files(dir: &ScratchDir) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = fs::read_dir(dir.path())
+        .expect("read data dir")
+        .map(|e| {
+            let path = e.expect("dir entry").path();
+            let name = path
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            (name, fs::read(&path).expect("read data file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// One run persists one way, whichever source feeds it: the synthetic
+/// generator and a replay of its recording step the same blocks, so they
+/// take the same safepoints and write byte-identical data directories —
+/// manifest, every log segment and every snapshot file.
+#[test]
+fn synthetic_and_recorded_sources_write_the_same_data_dir() {
+    // The default cadence, then the tight one that rotates log segments.
+    for (seed, tight) in [(3, false), (4, true)] {
+        let durability = |dir: &ScratchDir| {
+            if tight {
+                durable_cfg(dir)
+            } else {
+                DurabilityConfig::snapshot_and_log(dir.path())
+            }
+        };
+        let cfg = RunConfig::small().with_seed(seed);
+        let live_dir = ScratchDir::new("layout-live");
+        let live = Simulation::builder(&cfg)
+            .durability(durability(&live_dir))
+            .run()
+            .expect("synthetic run");
+        let trace = EncodedTrace::record(cfg.workload.clone()).expect("record");
+        let replay_dir = ScratchDir::new("layout-replay");
+        let replayed = Simulation::builder(&cfg)
+            .trace(&trace)
+            .durability(durability(&replay_dir))
+            .run()
+            .expect("trace run");
+
+        assert_eq!(
+            outcome_digest(&live),
+            outcome_digest(&replayed),
+            "seed {seed}"
+        );
+        assert_eq!(
+            live.storage, replayed.storage,
+            "seed {seed}: storage counters"
+        );
+        let (live_files, replay_files) = (data_files(&live_dir), data_files(&replay_dir));
+        let names =
+            |files: &[(String, Vec<u8>)]| files.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        assert_eq!(
+            names(&live_files),
+            names(&replay_files),
+            "seed {seed}: file set"
+        );
+        assert!(
+            live_files.iter().any(|(n, _)| n.starts_with("snap-")),
+            "seed {seed}: the run must snapshot"
+        );
+        for ((name, a), (_, b)) in live_files.iter().zip(&replay_files) {
+            assert!(
+                a == b,
+                "seed {seed}: {name} differs ({} vs {} bytes)",
+                a.len(),
+                b.len()
+            );
+        }
     }
 }
 
@@ -280,10 +366,13 @@ fn frames_of(bytes: &[u8]) -> Vec<FrameSpan> {
 struct FaultFixture {
     dir: ScratchDir,
     cfg: RunConfig,
-    events: Vec<pgc::workload::Event>,
+    events: Vec<Event>,
     checkpoints: Vec<u64>,
     segments: Vec<std::path::PathBuf>,
 }
+
+/// Events per block the fault fixture is stepped in.
+const FIXTURE_BLOCK: usize = 1000;
 
 fn fault_fixture(label: &str) -> FaultFixture {
     let dir = ScratchDir::new(label);
@@ -291,14 +380,25 @@ fn fault_fixture(label: &str) -> FaultFixture {
         .with_policy(PolicyKind::UpdatedPointer)
         .with_seed(4)
         .with_heap_growth(Bytes::from_mib(1));
-    Simulation::builder(&cfg)
-        .telemetry(TelemetryLevel::Full)
-        .durability(durable_cfg(&dir))
-        .run()
-        .expect("durable run");
     let events: Vec<_> = SyntheticWorkload::new(cfg.workload.clone())
         .expect("workload")
         .collect();
+    // Stepped in blocks much shorter than a recorded trace's 4096, so
+    // safepoints — and the snapshot checkpoints the sweeps must cross —
+    // land several times inside every 64 KiB log segment (the asserts
+    // below check that geometry).
+    let mut shard =
+        Shard::new(&cfg.clone().with_durability(durable_cfg(&dir))).expect("durable shard");
+    shard.enable_telemetry(TelemetryLevel::Full);
+    let mut block = EventBlock::new();
+    for chunk in events.chunks(FIXTURE_BLOCK) {
+        block.clear();
+        for event in chunk {
+            block.push(event);
+        }
+        shard.step_block(&block).expect("durable step");
+    }
+    shard.finish(GenStats::default()).expect("durable run");
     let files = pgc::durable::scan_snapshots(dir.path()).expect("scan");
     let last_generation = files.iter().map(|f| f.generation).max().expect("snapshots");
     for file in files.iter().filter(|f| f.generation == last_generation) {
@@ -335,12 +435,11 @@ struct Expected {
 
 impl FaultFixture {
     fn expected(&self, events: u64, safepoints: usize) -> Expected {
-        let mut shard = Shard::new(&self.cfg).expect("shard");
-        shard.enable_telemetry(TelemetryLevel::Full);
-        shard
-            .step_batch(&self.events[..events as usize])
-            .expect("replay prefix");
-        let outcome = shard.finish(GenStats::default()).expect("finish");
+        let outcome = replay_events(
+            &self.cfg,
+            TelemetryLevel::Full,
+            &self.events[..events as usize],
+        );
         Expected {
             digest: outcome_digest(&outcome),
             events,

@@ -20,20 +20,6 @@ const STREAMS: usize = 5;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 const BATCH: usize = 512;
 
-/// Which server ingest path a fleet run exercises. All three must be
-/// bit-identical per stream — the data plane can change how bytes move,
-/// never what a session computes.
-#[derive(Clone, Copy, Debug)]
-enum SubmitMode {
-    /// Borrowed slices through the compat wrapper (`Server::submit`).
-    Compat,
-    /// Owned batches moved into the ring (`Server::submit_owned`).
-    Owned,
-    /// Zero-copy segments of one shared encoded trace per stream
-    /// (`Server::submit_segment`).
-    Segment,
-}
-
 fn stream_configs() -> Vec<(StreamId, RunConfig)> {
     (0..STREAMS as u64)
         .map(|i| {
@@ -79,12 +65,23 @@ fn link_nodes(events: &[Event]) -> Vec<NodeId> {
         .collect()
 }
 
-/// Runs every stream on a fleet of `shards` shards, interleaving batches
-/// round-robin via the chosen submit path and registering a ring of
-/// cross-stream links midway.
+/// Each stream's events encoded once into a shared trace.
+fn stream_traces(
+    configs: &[(StreamId, RunConfig)],
+    events: &[Vec<Event>],
+) -> Vec<Arc<EncodedTrace>> {
+    configs
+        .iter()
+        .zip(events)
+        .map(|((_, cfg), events)| Arc::new(EncodedTrace::from_events(cfg.workload.clone(), events)))
+        .collect()
+}
+
+/// Runs every stream on a fleet of `shards` shards, interleaving
+/// `BATCH`-event segments of each stream's shared trace round-robin and
+/// registering a ring of cross-stream links midway.
 fn run_fleet(
     shards: usize,
-    mode: SubmitMode,
     configs: &[(StreamId, RunConfig)],
     events: &[Vec<Event>],
 ) -> pgc::server::FleetOutcome {
@@ -92,21 +89,14 @@ fn run_fleet(
     for (stream, cfg) in configs {
         server.open_stream(*stream, cfg.clone()).expect("open");
     }
-    // The segment path shares one encoded trace per stream: every batch
-    // submitted is a refcounted byte range of it, tiled up front.
-    let mut segments: Vec<Vec<TraceSegment>> = match mode {
-        SubmitMode::Segment => configs
-            .iter()
-            .zip(events)
-            .map(|((_, cfg), events)| {
-                let trace = Arc::new(EncodedTrace::from_events(cfg.workload.clone(), events));
-                let mut segs = EncodedTrace::segments(&trace, BATCH as u64).expect("segments");
-                segs.reverse(); // pop() from the back yields submission order
-                segs
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
+    let mut segments: Vec<Vec<TraceSegment>> = stream_traces(configs, events)
+        .iter()
+        .map(|trace| {
+            let mut segs = EncodedTrace::segments(trace, BATCH as u64).expect("segments");
+            segs.reverse(); // pop() from the back yields submission order
+            segs
+        })
+        .collect();
     let mut cursors = vec![0usize; configs.len()];
     let mut linked = false;
     loop {
@@ -117,24 +107,9 @@ fn run_fleet(
                 continue;
             }
             let end = (at + BATCH).min(events[i].len());
-            match mode {
-                SubmitMode::Compat => {
-                    // The deprecated borrowed-slice wrapper stays pinned
-                    // bit-identical until it is removed outright.
-                    #[allow(deprecated)]
-                    server.submit(*stream, &events[i][at..end]).expect("submit");
-                }
-                SubmitMode::Owned => {
-                    server
-                        .submit_owned(*stream, events[i][at..end].to_vec())
-                        .expect("submit_owned");
-                }
-                SubmitMode::Segment => {
-                    let seg = segments[i].pop().expect("segment per batch");
-                    assert_eq!(seg.events(), (end - at) as u64, "segment tiling");
-                    server.submit_segment(*stream, seg).expect("submit_segment");
-                }
-            }
+            let seg = segments[i].pop().expect("segment per batch");
+            assert_eq!(seg.events(), (end - at) as u64, "segment tiling");
+            server.submit_segment(*stream, seg).expect("submit_segment");
             cursors[i] = end;
             any = true;
         }
@@ -161,10 +136,10 @@ fn run_fleet(
 fn dedicated_runs(configs: &[(StreamId, RunConfig)], events: &[Vec<Event>]) -> Vec<RunOutcome> {
     configs
         .iter()
-        .zip(events)
-        .map(|((_, cfg), events)| {
+        .zip(stream_traces(configs, events))
+        .map(|((_, cfg), trace)| {
             Simulation::builder(cfg)
-                .events(events)
+                .trace(&trace)
                 .telemetry(TelemetryLevel::Full)
                 .run()
                 .expect("dedicated run")
@@ -179,34 +154,32 @@ fn per_stream_results_are_shard_count_invariant() {
     let baseline = dedicated_runs(&configs, &events);
 
     for shards in SHARD_COUNTS {
-        for mode in [SubmitMode::Compat, SubmitMode::Segment] {
-            let fleet = run_fleet(shards, mode, &configs, &events);
-            assert_eq!(fleet.shards, shards);
-            assert_eq!(fleet.outcomes.len(), STREAMS);
-            for ((stream, cfg), dedicated) in configs.iter().zip(&baseline) {
-                let outcome = fleet.outcome(*stream).expect("stream outcome");
-                assert_eq!(
-                    outcome.totals, dedicated.totals,
-                    "{} totals diverged on {shards} shard(s) via {mode:?} ({:?})",
-                    stream, cfg.policy
-                );
-                let fleet_victims: Vec<_> = outcome.collections.iter().map(|c| c.victim).collect();
-                let solo_victims: Vec<_> = dedicated.collections.iter().map(|c| c.victim).collect();
-                assert_eq!(
-                    fleet_victims, solo_victims,
-                    "{stream} victim sequence diverged on {shards} shard(s) via {mode:?}"
-                );
-                assert_eq!(
-                    outcome.collections, dedicated.collections,
-                    "{stream} collection outcomes diverged on {shards} shard(s) via {mode:?}"
-                );
-                // Full-level telemetry includes the score histograms and
-                // per-activation records — every bit must survive hosting.
-                assert_eq!(
-                    outcome.telemetry, dedicated.telemetry,
-                    "{stream} telemetry diverged on {shards} shard(s) via {mode:?}"
-                );
-            }
+        let fleet = run_fleet(shards, &configs, &events);
+        assert_eq!(fleet.shards, shards);
+        assert_eq!(fleet.outcomes.len(), STREAMS);
+        for ((stream, cfg), dedicated) in configs.iter().zip(&baseline) {
+            let outcome = fleet.outcome(*stream).expect("stream outcome");
+            assert_eq!(
+                outcome.totals, dedicated.totals,
+                "{} totals diverged on {shards} shard(s) ({:?})",
+                stream, cfg.policy
+            );
+            let fleet_victims: Vec<_> = outcome.collections.iter().map(|c| c.victim).collect();
+            let solo_victims: Vec<_> = dedicated.collections.iter().map(|c| c.victim).collect();
+            assert_eq!(
+                fleet_victims, solo_victims,
+                "{stream} victim sequence diverged on {shards} shard(s)"
+            );
+            assert_eq!(
+                outcome.collections, dedicated.collections,
+                "{stream} collection outcomes diverged on {shards} shard(s)"
+            );
+            // Full-level telemetry includes the score histograms and
+            // per-activation records — every bit must survive hosting.
+            assert_eq!(
+                outcome.telemetry, dedicated.telemetry,
+                "{stream} telemetry diverged on {shards} shard(s)"
+            );
         }
     }
 }
@@ -216,13 +189,10 @@ fn fleet_aggregates_are_shard_count_invariant() {
     let configs = stream_configs();
     let events = stream_events(&configs);
 
-    // Sweep shard counts on the segment path, then cross-check the owned
-    // path at one count — aggregates must not notice the ingest path.
-    let mut fleets: Vec<_> = SHARD_COUNTS
+    let fleets: Vec<_> = SHARD_COUNTS
         .iter()
-        .map(|&shards| run_fleet(shards, SubmitMode::Segment, &configs, &events))
+        .map(|&shards| run_fleet(shards, &configs, &events))
         .collect();
-    fleets.push(run_fleet(2, SubmitMode::Owned, &configs, &events));
     let first = &fleets[0];
     for fleet in &fleets[1..] {
         assert_eq!(
@@ -250,7 +220,7 @@ fn fleet_aggregates_are_shard_count_invariant() {
 fn cross_shard_links_register_once_and_clean_on_reclaim() {
     let configs = stream_configs();
     let events = stream_events(&configs);
-    let fleet = run_fleet(2, SubmitMode::Segment, &configs, &events);
+    let fleet = run_fleet(2, &configs, &events);
 
     let stats = fleet.remset;
     // Each ring edge links LINKS_PER_EDGE nodes, each twice: idempotency
@@ -280,9 +250,9 @@ fn cross_shard_links_register_once_and_clean_on_reclaim() {
 }
 
 /// Coalescing must be semantically invisible: a stream fed as many tiny
-/// batches — alternating owned vectors and unaligned trace segments, over
-/// a near-empty ring that forces heavy head-of-queue coalescing — must be
-/// bit-identical to one whole-trace segment and to a dedicated run.
+/// segments — alternating two unaligned sizes, over a near-empty ring that
+/// forces heavy head-of-queue coalescing — must be bit-identical to one
+/// whole-trace segment and to a dedicated run.
 #[test]
 fn coalesced_tiny_batches_match_one_big_batch() {
     let configs = stream_configs();
@@ -291,29 +261,25 @@ fn coalesced_tiny_batches_match_one_big_batch() {
     let dedicated = &dedicated_runs(&configs[..1], &events[..1])[0];
     let trace = Arc::new(EncodedTrace::from_events(cfg.workload.clone(), &events[0]));
 
-    // 97 events per chunk: never block-aligned, so segment carving takes
-    // the mark-then-scan path and the worker's scratch block refills at
-    // awkward offsets.
-    const CHUNK: usize = 97;
-    let segments = EncodedTrace::segments(&trace, CHUNK as u64).expect("segments");
+    // 97 and 31 events per segment, alternating: never block-aligned, so
+    // the worker's scratch block refills at awkward offsets.
+    const CHUNKS: [usize; 2] = [97, 31];
     let tiny = ServerConfig::new(1)
         .with_telemetry(TelemetryLevel::Full)
         .with_inbox_capacity(2);
 
     let mut interleaved = Server::start(tiny.clone());
     interleaved.open_stream(stream, cfg.clone()).expect("open");
-    for (j, segment) in segments.into_iter().enumerate() {
-        let at = j * CHUNK;
-        let end = (at + CHUNK).min(events[0].len());
-        if j % 2 == 0 {
-            interleaved
-                .submit_owned(stream, events[0][at..end].to_vec())
-                .expect("submit_owned");
-        } else {
-            interleaved
-                .submit_segment(stream, segment)
-                .expect("submit_segment");
+    let mut at = 0;
+    for chunk in CHUNKS.iter().cycle() {
+        if at >= events[0].len() {
+            break;
         }
+        let end = (at + chunk).min(events[0].len());
+        interleaved
+            .submit_segment(stream, TraceSegment::encode(&events[0][at..end]))
+            .expect("submit_segment");
+        at = end;
     }
     let interleaved = interleaved.shutdown().expect("shutdown");
 
@@ -346,10 +312,11 @@ fn one_slot_inbox_backpressures_without_losing_events() {
     let events = stream_events(&configs);
     let (stream, cfg) = configs[0].clone();
 
+    let trace = Arc::new(EncodedTrace::from_events(cfg.workload.clone(), &events[0]));
     let mut server = Server::start(ServerConfig::new(1).with_inbox_capacity(1));
     server.open_stream(stream, cfg).expect("open");
-    for chunk in events[0].chunks(64) {
-        server.submit_owned(stream, chunk.to_vec()).expect("submit");
+    for segment in EncodedTrace::segments(&trace, 64).expect("segments") {
+        server.submit_segment(stream, segment).expect("submit");
     }
     let fleet = server.shutdown().expect("shutdown");
     assert_eq!(fleet.total_events(), events[0].len() as u64);
@@ -375,7 +342,9 @@ fn worker_panic_surfaces_as_session_error_at_shutdown() {
         size: Bytes(64),
         slots: 2,
     };
-    server.submit_owned(stream, vec![poison]).expect("enqueue");
+    server
+        .submit_segment(stream, TraceSegment::encode(&[poison]))
+        .expect("enqueue");
     let err = server.shutdown().expect_err("worker panicked");
     let msg = err.to_string();
     assert!(

@@ -139,13 +139,14 @@ fn builder_sources_are_exact_equivalents() {
     // Synthetic source (the default).
     let synthetic = Simulation::builder(&cfg).run().expect("synthetic run");
 
-    // Event-slice source.
+    // Hand-encoded event slice (unlabelled: zeroed generator counters).
     let events: Vec<pgc::workload::Event> =
         pgc::workload::SyntheticWorkload::new(cfg.workload.clone())
             .expect("params")
             .collect();
+    let sliced_trace = pgc::workload::EncodedTrace::from_events(cfg.workload.clone(), &events);
     let sliced = Simulation::builder(&cfg)
-        .events(&events)
+        .trace(&sliced_trace)
         .run()
         .expect("event-slice run");
     assert_eq!(synthetic.totals, sliced.totals);
